@@ -16,7 +16,7 @@ configHash(const core::PortendOptions &opts, const std::string &salt)
 {
     // Order is part of the hash: append-only, never reorder, so
     // signatures stay stable across builds of the same source.
-    std::uint64_t h = fnv1a(std::string("portend-campaign-config-v1"));
+    std::uint64_t h = fnv1a(std::string("portend-campaign-config-v2"));
     h = hashCombine(h, static_cast<std::uint64_t>(opts.mp));
     h = hashCombine(h, static_cast<std::uint64_t>(opts.ma));
     h = hashCombine(h, opts.adhoc_detection ? 1 : 0);

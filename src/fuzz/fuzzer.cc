@@ -64,7 +64,7 @@ struct CampaignState
 std::uint64_t
 oracleConfigHash(const OracleOptions &o)
 {
-    std::string s = "portend-fuzz-oracle-v1";
+    std::string s = "portend-fuzz-oracle-v2";
     s += ";seed=" + std::to_string(o.detection_seed);
     s += ";mp=" + std::to_string(o.mp);
     s += ";ma=" + std::to_string(o.ma);

@@ -521,6 +521,8 @@ parseNum(const std::string &s, long long *out)
 /** Sequential field reader over one serialized verdict. */
 struct VerdictReader
 {
+    explicit VerdictReader(const std::string &text) : text(text) {}
+
     const std::string &text;
     std::size_t pos = 0;
     std::string err;
@@ -610,7 +612,7 @@ serializeVerdict(const OracleVerdict &v)
 std::optional<OracleVerdict>
 deserializeVerdict(const std::string &text, std::string *error)
 {
-    VerdictReader r{text};
+    VerdictReader r(text);
     const auto bail = [&]() -> std::optional<OracleVerdict> {
         if (error)
             *error = r.err.empty() ? "malformed verdict payload"

@@ -1,5 +1,6 @@
 #include "portend/analyzer.h"
 
+#include <algorithm>
 #include <cstdio>
 
 #include "portend/outputcmp.h"
@@ -300,6 +301,25 @@ RaceAnalyzer::absorbStats(AnalysisStats &stats, const rt::VmState &s)
     stats.steps += s.stats.steps;
 }
 
+void
+RaceAnalyzer::setAlternateBudget(rt::ExecOptions &eo,
+                                 std::uint64_t pre_steps,
+                                 const PrimaryEnd &primary) const
+{
+    const std::uint64_t body = primary.step > pre_steps
+                                   ? primary.step - pre_steps
+                                   : 1000;
+    eo.cycle_test_from = pre_steps + body;
+    // A crash truncated the primary, so its length is no yardstick:
+    // an alternate that avoids the crash legitimately runs longer,
+    // and only a genuine spin may time out.
+    eo.max_steps = primary.crashed
+                       ? opts.max_steps
+                       : std::min(opts.max_steps,
+                                  pre_steps +
+                                      opts.timeout_factor * body + 2000);
+}
+
 /**
  * Enforce the alternate ordering from a pre-race state and observe
  * the consequences. Returns OutSame with the alternate's outputs
@@ -310,8 +330,7 @@ RaceAnalyzer::SingleResult
 RaceAnalyzer::runAlternateFromState(
     const rt::VmState &pre, const race::RaceReport &race,
     const std::vector<std::int64_t> &inputs,
-    const explore::PostSpec &post,
-    std::uint64_t primary_total_steps,
+    const explore::PostSpec &post, const PrimaryEnd &primary,
     const rt::VmState *post_primary,
     const replay::ScheduleTrace *post_trace,
     std::uint64_t primary_second_count, AnalysisStats &stats) const
@@ -329,13 +348,7 @@ RaceAnalyzer::runAlternateFromState(
     if (post.kind == explore::PostSpec::Kind::Random)
         alt.state().rng = Rng(post.seed * 0x9e3779b97f4a7c15ull + 1);
 
-    const std::uint64_t pre_steps = pre.global_step;
-    const std::uint64_t body =
-        primary_total_steps > pre_steps
-            ? primary_total_steps - pre_steps
-            : 1000;
-    alt.options().max_steps =
-        pre_steps + opts.timeout_factor * body + 2000;
+    setAlternateBudget(alt.options(), pre.global_step, primary);
 
     SemanticMonitor sem(alt, opts.semantic_predicates);
     alt.addSink(&sem);
@@ -382,6 +395,9 @@ RaceAnalyzer::runAlternateFromState(
         }
         return stage == 1 && ev.tid == race.first.tid &&
                ev.kind == kind_of(race.first.is_write);
+    };
+    spec.cycle_key = [&stage](std::vector<std::uint64_t> &out) {
+        out.push_back(static_cast<std::uint64_t>(stage));
     };
 
     rt::RunOutcome oc = alt.run(spec);
@@ -662,14 +678,10 @@ RaceAnalyzer::singleClassify(const race::RaceReport &race,
         std::uint64_t primary_second_count =
             interp.state().accessCount(race.second.tid,
                                        race.second.pc);
-        // The crash truncated the primary, so its step count is a
-        // useless yardstick for the alternate's timeout budget (an
-        // alternate that avoids the crash legitimately runs much
-        // longer). Hand the alternate the full step budget instead,
-        // so only a genuine busy-wait can time out.
         SingleResult a = runAlternateFromState(
-            pre_ckpt, race, inputs, post, opts.max_steps, nullptr,
-            &trace, primary_second_count, stats);
+            pre_ckpt, race, inputs, post,
+            {interp.state().global_step, true}, nullptr, &trace,
+            primary_second_count, stats);
         if (a.kind == SingleResult::Kind::SpecViol ||
             a.kind == SingleResult::Kind::SingleOrd) {
             return a;
@@ -693,7 +705,7 @@ RaceAnalyzer::singleClassify(const race::RaceReport &race,
         race.second.tid, race.second.pc);
 
     SingleResult a = runAlternateFromState(
-        pre_ckpt, race, inputs, post, r.primary_steps,
+        pre_ckpt, race, inputs, post, {r.primary_steps, false},
         have_post_primary ? &post_primary : nullptr, &trace,
         primary_second_count, stats);
     r.states_differ = a.states_differ;
@@ -724,7 +736,7 @@ RaceAnalyzer::runAlternate(const race::RaceReport &race,
                            const replay::ScheduleTrace &trace,
                            const std::vector<std::int64_t> &inputs,
                            const explore::PostSpec &post,
-                           std::uint64_t budget_steps,
+                           std::uint64_t primary_steps,
                            const replay::CheckpointLadder *ladder,
                            AnalysisStats &stats) const
 {
@@ -738,8 +750,8 @@ RaceAnalyzer::runAlternate(const race::RaceReport &race,
             col->add(obs::Counter::LadderForks, 1);
         absorbStats(stats, rung->state);
         return runAlternateFromState(rung->state, race, inputs, post,
-                                     budget_steps, nullptr, &trace, 0,
-                                     stats);
+                                     {primary_steps, false}, nullptr,
+                                     &trace, 0, stats);
     }
 
     rt::ExecOptions eo = baseOptions();
@@ -767,8 +779,15 @@ RaceAnalyzer::runAlternate(const race::RaceReport &race,
         return r;
     }
     return runAlternateFromState(interp.state(), race, inputs, post,
-                                 budget_steps, nullptr, &trace, 0,
-                                 stats);
+                                 {primary_steps, false}, nullptr, &trace,
+                                 0, stats);
+}
+
+std::uint64_t
+RaceAnalyzer::recordedSteps(const replay::ScheduleTrace &trace) const
+{
+    return trace.decisions.empty() ? opts.max_steps
+                                   : trace.decisions.back().step + 1;
 }
 
 RaceAnalyzer::EvidenceReplay
@@ -795,9 +814,6 @@ RaceAnalyzer::replayEvidence(const race::RaceReport &race,
         return out;
     }
 
-    const std::uint64_t budget =
-        trace.decisions.empty() ? opts.max_steps
-                                : trace.decisions.back().step + 1;
     // Rebuild the post-race schedule the evidence names: an
     // explorer-issued decision prefix replays exactly (guided runs
     // are prefix + deterministic fallback), a seed replays the
@@ -813,8 +829,9 @@ RaceAnalyzer::replayEvidence(const race::RaceReport &race,
     } else {
         spec = explore::PostSpec::trace();
     }
-    SingleResult r = runAlternate(race, trace, inputs, spec, budget,
-                                  nullptr, scratch);
+    SingleResult r = runAlternate(race, trace, inputs, spec,
+                                  recordedSteps(trace), nullptr,
+                                  scratch);
     switch (r.kind) {
       case SingleResult::Kind::SpecViol:
         // Reconstruct the concrete outcome class from the verdict.
@@ -1003,9 +1020,7 @@ RaceAnalyzer::classify(const race::RaceReport &race,
             return c;
         }
 
-        const std::uint64_t budget =
-            trace.decisions.empty() ? opts.max_steps
-                                    : trace.decisions.back().step + 1;
+        const std::uint64_t recorded = recordedSteps(trace);
 
         // Under named symbolic inputs the distinct-schedule budget
         // is shared: each path's explorer inherits the interleaving
@@ -1031,7 +1046,7 @@ RaceAnalyzer::classify(const race::RaceReport &race,
                 c.stats.schedules_explored += 1;
                 SingleResult a = runAlternate(
                     race, trace, inputs_p, explore::PostSpec::trace(),
-                    budget, ladder, c.stats);
+                    recorded, ladder, c.stats);
                 switch (a.kind) {
                   case SingleResult::Kind::SpecViol:
                     c.cls = RaceClass::SpecViolated;
@@ -1094,8 +1109,8 @@ RaceAnalyzer::classify(const race::RaceReport &race,
                 cand_span.arg("path", path_index);
                 c.stats.schedules_explored += 1;
                 SingleResult a =
-                    runAlternate(race, trace, inputs_p, *spec, budget,
-                                 ladder, c.stats);
+                    runAlternate(race, trace, inputs_p, *spec,
+                                 recorded, ladder, c.stats);
                 // Only an enforced alternate witnessed a post-race
                 // schedule; everything else teaches the explorer
                 // nothing.

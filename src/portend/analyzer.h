@@ -93,8 +93,32 @@ struct PortendOptions
      * selection.
      */
     std::vector<rt::SymInputSpec> sym_inputs;
-    std::uint64_t timeout_factor = 5; ///< alternate budget multiplier
-    std::uint64_t max_steps = 2000000; ///< absolute step budget
+
+    /**
+     * Hang threshold of an alternate run. With `pre` the global step
+     * of the pre-race checkpoint and `end` the global step at which
+     * the primary ended (stage 1), or the recorded trace's length
+     * (stages 2-3 and evidence replay), the alternate's body is
+     * `end - pre` (1000 when `end <= pre`) and it times out at
+     *
+     *     min(max_steps, pre + timeout_factor * body + 2000)
+     *
+     * A primary that crashed is no yardstick, so its alternate gets
+     * max_steps outright. A timed-out alternate is an infinite loop
+     * or busy-wait ad-hoc synchronization (paper §3.2). Past
+     * `pre + body` (the crash step, for a crashed primary), the
+     * interpreter skips the repeats of a provable spin loop and ends
+     * the run in the state the budget would reach anyway
+     * (rt::Interpreter::run).
+     */
+    std::uint64_t timeout_factor = 5;
+
+    /**
+     * Absolute step budget: no interpreter run of an analysis goes
+     * past global step max_steps, the pre-race prefix included.
+     * Every alternate budget is clamped to it (see timeout_factor).
+     */
+    std::uint64_t max_steps = 2000000;
     std::uint64_t detection_seed = 1;  ///< seed for detection run
     DetectorKind detector = DetectorKind::HappensBefore;
 
@@ -283,9 +307,29 @@ class RaceAnalyzer
                               const replay::ScheduleTrace &trace,
                               const std::vector<std::int64_t> &inputs,
                               const explore::PostSpec &post,
-                              std::uint64_t budget_steps,
+                              std::uint64_t primary_steps,
                               const replay::CheckpointLadder *ladder,
                               AnalysisStats &stats) const;
+
+    /** The recorded execution's length in steps: the primary length
+     *  of stage 2-3 alternates (max_steps when nothing was recorded). */
+    std::uint64_t recordedSteps(const replay::ScheduleTrace &trace) const;
+
+    /** Where the primary an alternate is measured against ended. */
+    struct PrimaryEnd
+    {
+        std::uint64_t step = 0; ///< global step at the primary's end
+        bool crashed = false;   ///< ended in an unrelated crash
+    };
+
+    /**
+     * The one derivation of every alternate's step limits: set
+     * @p eo's max_steps and cycle_test_from from the pre-race step
+     * and the primary's end, as documented on
+     * PortendOptions::timeout_factor.
+     */
+    void setAlternateBudget(rt::ExecOptions &eo, std::uint64_t pre_steps,
+                            const PrimaryEnd &primary) const;
 
     /**
      * The ladder rung for @p race's pre-race point, or nullptr when
@@ -304,6 +348,8 @@ class RaceAnalyzer
      *
      * @param pre            state stopped just before the first
      *                       racing access
+     * @param primary        where the primary ended (the alternate's
+     *                       yardstick, see setAlternateBudget)
      * @param post_primary   primary's post-race snapshot for the
      *                       state-diff criterion (may be null)
      * @param post_trace     original trace for deterministic
@@ -319,8 +365,7 @@ class RaceAnalyzer
     SingleResult runAlternateFromState(
         const rt::VmState &pre, const race::RaceReport &race,
         const std::vector<std::int64_t> &inputs,
-        const explore::PostSpec &post,
-        std::uint64_t primary_total_steps,
+        const explore::PostSpec &post, const PrimaryEnd &primary,
         const rt::VmState *post_primary,
         const replay::ScheduleTrace *post_trace,
         std::uint64_t primary_second_count, AnalysisStats &stats) const;

@@ -77,7 +77,8 @@ struct AnalysisStats
 {
     std::uint64_t preemptions = 0;     ///< scheduling decisions taken
     std::uint64_t sym_branches = 0;    ///< symbolic decisions seen
-    std::uint64_t steps = 0;           ///< instructions interpreted
+    std::uint64_t steps = 0;           ///< steps charged to budgets
+                                       ///< (cycle-cut periods included)
     int paths_explored = 0;            ///< primary paths analyzed
     int schedules_explored = 0;        ///< alternate schedules run
 

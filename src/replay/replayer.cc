@@ -71,22 +71,44 @@ TracePolicy::pick(const rt::VmState &state,
     return runnable.front();
 }
 
+std::uint64_t
+AlternatePolicy::postTraceCursor(const rt::VmState &state) const
+{
+    // Shifted past the decisions the hold phase consumed. One extra
+    // slot is re-issued: the pre-race stop consumed the held
+    // thread's scheduling slot without executing its segment.
+    const std::uint64_t skip = hold_picks + 1;
+    return state.stats.preemption_points >= skip
+               ? state.stats.preemption_points - skip
+               : 0;
+}
+
+bool
+AlternatePolicy::cycleKey(const rt::VmState &state,
+                          std::vector<std::uint64_t> &out) const
+{
+    out.push_back(released);
+    if (!released) {
+        out.push_back(
+            state.cellAccessCount(race.second.tid, race.cell));
+        return true;
+    }
+    if (post_trace &&
+        postTraceCursor(state) < post_trace->decisions.size()) {
+        return false;
+    }
+    return post->cycleKey(state, out);
+}
+
 rt::ThreadId
 AlternatePolicy::pick(const rt::VmState &state,
                       const std::vector<rt::ThreadId> &runnable)
 {
     if (released) {
-        // Post-race: prefer the original trace, shifted past the
-        // decisions the hold phase consumed, so orderings unrelated
-        // to the reversed pair stay as recorded. One extra slot is
-        // re-issued: the pre-race stop consumed the held thread's
-        // scheduling slot without executing its segment.
+        // Post-race: prefer the original trace, so orderings
+        // unrelated to the reversed pair stay as recorded.
         if (post_trace) {
-            std::uint64_t skip = hold_picks + 1;
-            std::uint64_t idx =
-                state.stats.preemption_points >= skip
-                    ? state.stats.preemption_points - skip
-                    : 0;
+            const std::uint64_t idx = postTraceCursor(state);
             if (idx < post_trace->decisions.size()) {
                 rt::ThreadId want = post_trace->decisions[idx].tid;
                 for (rt::ThreadId t : runnable) {

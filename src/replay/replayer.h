@@ -132,6 +132,34 @@ class AlternatePolicy : public rt::SchedulePolicy
 
     void onEvent(const rt::Event &ev) override;
 
+    /**
+     * While holding, picks depend on the runnable set alone and the
+     * release on the second accessor's occurrence count at the racing
+     * cell, which is keyed. After the release, keyed once the
+     * post-race trace cursor has run off its trace (it counts
+     * decisions); from then on every pick is the post policy's.
+     */
+    bool cycleKey(const rt::VmState &state,
+                  std::vector<std::uint64_t> &out) const override;
+
+    /** The hold phase's history is its pick count; afterwards the
+     *  post policy's. */
+    HistoryMark
+    historyMark() const override
+    {
+        return released ? post->historyMark()
+                        : HistoryMark{hold_picks, 0};
+    }
+
+    void
+    repeatHistory(const HistoryMark &mark, std::uint64_t times) override
+    {
+        if (released)
+            post->repeatHistory(mark, times);
+        else
+            hold_picks += times * (hold_picks - mark.decisions);
+    }
+
     /** True once the second accessor touched the racing cell. */
     bool enforced() const { return released; }
 
@@ -139,6 +167,9 @@ class AlternatePolicy : public rt::SchedulePolicy
     bool starved() const { return starved_; }
 
   private:
+    /** Index into post_trace of the next post-race decision. */
+    std::uint64_t postTraceCursor(const rt::VmState &state) const;
+
     race::RaceReport race;
     rt::SchedulePolicy *post;
     const ScheduleTrace *post_trace;

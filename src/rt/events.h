@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "ir/inst.h"
 
@@ -81,6 +82,19 @@ class EventSink
      * semantic monitor sampling memory cells — override this.
      */
     virtual bool immediate() const { return false; }
+
+    /**
+     * Cycle test support (see SchedulePolicy::cycleKey): append the
+     * sink state that could make two runs from equal VM states differ
+     * and return true, or return false to keep the interpreter from
+     * skipping any event. The default opts out.
+     */
+    virtual bool
+    cycleKey(std::vector<std::uint64_t> &out) const
+    {
+        (void)out;
+        return false;
+    }
 };
 
 } // namespace portend::rt

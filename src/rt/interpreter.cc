@@ -3,6 +3,7 @@
 #include <atomic>
 #include <map>
 #include <mutex>
+#include <optional>
 
 #include "support/logging.h"
 #include "support/observe.h"
@@ -43,6 +44,8 @@ constexpr std::size_t kEventBatchCap = 256;
 
 std::atomic<DispatchMode> g_default_dispatch{DispatchMode::Threaded};
 
+std::atomic<bool> g_cycle_test{true};
+
 } // namespace
 
 bool
@@ -62,6 +65,18 @@ defaultDispatchMode()
 {
     DispatchMode m = g_default_dispatch.load(std::memory_order_relaxed);
     return m == DispatchMode::Auto ? DispatchMode::Threaded : m;
+}
+
+void
+setCycleTestEnabled(bool on)
+{
+    g_cycle_test.store(on, std::memory_order_relaxed);
+}
+
+bool
+cycleTestEnabled()
+{
+    return g_cycle_test.load(std::memory_order_relaxed);
 }
 
 const char *
@@ -875,6 +890,24 @@ Interpreter::run(const StopSpec &stop)
 
     const std::uint64_t boxed0 = valuesBoxed();
 
+    // The cycle test needs every reader of the run to be keyed: a
+    // fork hook and before-point stops consult state or counters the
+    // key leaves out.
+    bool cycle_test =
+        cycleTestEnabled() && !hook &&
+        opts.cycle_test_from < opts.max_steps &&
+        (!active_stop ||
+         (active_stop->before.empty() &&
+          active_stop->before_cell.empty() && active_stop->cycle_key));
+    for (EventSink *s : sinks) {
+        cycle_key.clear();
+        cycle_test = cycle_test && s->cycleKey(cycle_key);
+    }
+    cycle.reset();
+    std::uint64_t skipped_steps = 0;
+    std::uint64_t skipped_preemptions = 0;
+    const bool was_running = !st.finished();
+
     // Observability: one span per run plus a delta flush of the
     // VmStats ledger into the process collector at run exit. The hot
     // segment loop is untouched — it keeps bumping plain VmStats
@@ -883,14 +916,23 @@ Interpreter::run(const StopSpec &stop)
     obs::Span run_span("interp", "run");
     const VmStats entry_stats = st.stats;
     const auto flush_observability = [&] {
+        // Budget-charged steps; interp.steps and interp.preemptions
+        // count the work actually done, without skipped periods.
         const std::uint64_t dsteps = st.stats.steps - entry_stats.steps;
         run_span.arg("steps", static_cast<std::int64_t>(dsteps));
         if (obs::Collector *c = obs::collector()) {
             c->add(obs::Counter::InterpRuns, 1);
-            c->add(obs::Counter::InterpSteps, dsteps);
+            c->add(obs::Counter::InterpSteps, dsteps - skipped_steps);
             c->add(obs::Counter::InterpPreemptions,
                    st.stats.preemption_points -
-                       entry_stats.preemption_points);
+                       entry_stats.preemption_points -
+                       skipped_preemptions);
+            if (was_running && st.outcome == RunOutcome::TimedOut) {
+                c->add(obs::Counter::InterpTimeouts, 1);
+                c->add(obs::Counter::InterpTimeoutSteps, dsteps);
+            }
+            if (skipped_steps > 0)
+                c->add(obs::Counter::InterpCycleCuts, 1);
             c->add(obs::Counter::InterpSymBranches,
                    st.stats.symbolic_branches -
                        entry_stats.symbolic_branches);
@@ -935,6 +977,16 @@ Interpreter::run(const StopSpec &stop)
             // decision, so policies observe the same prefix they saw
             // under per-event delivery.
             flushEvents();
+            if (cycle_test && st.global_step >= opts.cycle_test_from) {
+                const std::uint64_t pp0 = st.stats.preemption_points;
+                if (std::optional<std::uint64_t> n = cycleProbe(*pol)) {
+                    // At most one period is left to interpret.
+                    skipped_steps = *n;
+                    skipped_preemptions =
+                        st.stats.preemption_points - pp0;
+                    cycle_test = false;
+                }
+            }
             tid = pol->pick(st, runnable_scratch);
             if (tid < 0) {
                 finish(RunOutcome::Aborted, -1, -1,
@@ -967,6 +1019,70 @@ Interpreter::run(const StopSpec &stop)
     st.stats.pages_unshared = st.mem.unsharedCount();
     flush_observability();
     return st.outcome;
+}
+
+std::optional<std::uint64_t>
+Interpreter::cycleProbe(SchedulePolicy &pol)
+{
+    cycle_key.clear();
+    // Policy first: a policy with no key right now (random, or a
+    // trace cursor still inside its trace) costs no state walk.
+    if (!pol.cycleKey(st, cycle_key)) {
+        cycle.reset();
+        return std::nullopt;
+    }
+    for (EventSink *s : sinks)
+        s->cycleKey(cycle_key);
+    if (active_stop)
+        active_stop->cycle_key(cycle_key);
+    st.cycleKey(cycle_key);
+
+    CycleRef &ref = cycle_ref;
+    switch (cycle.probe(cycle_key)) {
+      case CycleDetector::Probe::Miss:
+        return std::nullopt;
+      case CycleDetector::Probe::Saved:
+        ref.global_step = st.global_step;
+        ref.steps = st.stats.steps;
+        ref.preemptions = st.stats.preemption_points;
+        ref.thread_steps.clear();
+        for (const ThreadState &t : st.threads)
+            ref.thread_steps.push_back(t.steps);
+        ref.counts = *st.access_counts;
+        ref.history = pol.historyMark();
+        return std::nullopt;
+      case CycleDetector::Probe::Match:
+        break;
+    }
+
+    // Equal keys: everything from here on repeats the stretch since
+    // the reference point, and the counters the key leaves out grow
+    // by the same amount every period. Skip the whole periods that
+    // end strictly before the budget, so the budget still expires
+    // inside interpreted code, at the step an uncut run stops.
+    const std::uint64_t period = st.global_step - ref.global_step;
+    const std::uint64_t left = opts.max_steps - st.global_step;
+    const std::uint64_t k = (left - 1) / period;
+    st.global_step += k * period;
+    const std::uint64_t dsteps = st.stats.steps - ref.steps;
+    st.stats.steps += k * dsteps;
+    st.stats.preemption_points +=
+        k * (st.stats.preemption_points - ref.preemptions);
+    for (std::size_t i = 0; i < st.threads.size(); ++i) {
+        ThreadState &t = st.threads[i];
+        t.steps += k * (t.steps - ref.thread_steps[i]);
+        // A thread that ran during the period runs at the same
+        // offset in every period; one that did not stays idle.
+        if (t.last_step > ref.global_step)
+            t.last_step += k * period;
+    }
+    auto &rows = st.access_counts.rw();
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        for (std::size_t j = 0; j < rows[i].size(); ++j)
+            rows[i][j] += k * (rows[i][j] - ref.counts[i][j]);
+    }
+    pol.repeatHistory(ref.history, k);
+    return k * dsteps;
 }
 
 // The segment loop body is written once (rt/interp_loop.inc) and

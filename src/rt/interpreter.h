@@ -23,10 +23,12 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <vector>
 
 #include "ir/program.h"
+#include "rt/cycle.h"
 #include "rt/decode.h"
 #include "rt/events.h"
 #include "rt/policy.h"
@@ -56,6 +58,16 @@ DispatchMode defaultDispatchMode();
 
 /** Printable mode name ("threaded" / "switch" / "auto"). */
 const char *dispatchModeName(DispatchMode m);
+
+/**
+ * Process-wide switch for the cycle test of Interpreter::run (on by
+ * default). Differential tests turn it off to run every spin to its
+ * full budget and compare.
+ */
+void setCycleTestEnabled(bool on);
+
+/** True unless setCycleTestEnabled(false) is in effect. */
+bool cycleTestEnabled();
 
 /** Where a symbolic decision arose. */
 enum class DecisionKind : std::uint8_t {
@@ -126,6 +138,15 @@ struct ExecOptions
 
     /** Step budget; exceeding it sets RunOutcome::TimedOut. */
     std::uint64_t max_steps = 2000000;
+
+    /**
+     * Global step from which run() tests for a provable cycle and, on
+     * finding one, skips to the budget instead of interpreting the
+     * repeats (see Interpreter::run). The default never tests.
+     * Analysis sets it where a normally completing run would already
+     * have ended, so such runs pay nothing.
+     */
+    std::uint64_t cycle_test_from = UINT64_MAX;
 
     /** Cells whose accesses become preemption points. */
     std::set<int> watched_cells;
@@ -209,6 +230,15 @@ class Interpreter
         /** Stop once an emitted event satisfies this predicate. */
         std::function<bool(const Event &)> after_event;
 
+        /**
+         * Append the state after_event depends on to a cycle key
+         * (see run()). The predicate must read only that state and
+         * the event's kind, thread, site, and pc — no counters. A
+         * spec with before points or an after_event but no key
+         * disables the cycle test.
+         */
+        std::function<void(std::vector<std::uint64_t> &)> cycle_key;
+
         bool
         empty() const
         {
@@ -245,7 +275,21 @@ class Interpreter
     /** Detach all event sinks. */
     void clearSinks() { sinks.clear(); }
 
-    /** Run to completion (or budget/abort). */
+    /**
+     * Run to completion (or budget/abort).
+     *
+     * Past ExecOptions::cycle_test_from, a run with no fork hook,
+     * and a policy, sinks, and stop spec that expose cycle keys hashes
+     * (VM state, policy state, sink state) at each scheduling decision
+     * and runs Brent's cycle detection over it. Keys that match
+     * word for word prove the run periodic: the interpreter then adds
+     * the counters' per-period growth for every whole period that
+     * fits under max_steps, has the policy replicate its history, and
+     * interprets only the final partial period. The run ends in
+     * exactly the state, counters included, that interpreting to the
+     * budget would reach; only interp.steps and interp.preemptions
+     * (work done) are lower.
+     */
     RunOutcome run();
 
     /**
@@ -377,6 +421,14 @@ class Interpreter
     /** Thread exit bookkeeping: wake joiners, maybe end program. */
     void exitThread(ThreadId tid);
 
+    /**
+     * One cycle-test probe before a scheduling decision: key the
+     * state, feed the detector, and on a match skip whole periods.
+     * @return the steps skipped once a cycle matched (the run needs
+     *         no further probes), nullopt while none has
+     */
+    std::optional<std::uint64_t> cycleProbe(SchedulePolicy &pol);
+
     /** Add zeroed counter rows for a newly created thread. */
     void addCounterRows();
     VmState buildPristine() const;
@@ -407,6 +459,21 @@ class Interpreter
     std::vector<Event> event_buf;
     /** Reusable runnable-thread scratch for the scheduler loop. */
     std::vector<ThreadId> runnable_scratch;
+
+    /** Cycle test state of the current run() call. */
+    CycleDetector cycle;
+    CycleKey cycle_key;
+    /** Counters at the detector's reference point: a match's
+     *  per-period growth is "now minus these". */
+    struct CycleRef
+    {
+        std::uint64_t global_step = 0;
+        std::uint64_t steps = 0;
+        std::uint64_t preemptions = 0;
+        std::vector<std::uint64_t> thread_steps;
+        std::vector<std::vector<std::uint64_t>> counts;
+        SchedulePolicy::HistoryMark history;
+    } cycle_ref;
 };
 
 } // namespace portend::rt

@@ -41,6 +41,45 @@ class SchedulePolicy
 
     /** Observe an event (default: ignore). */
     virtual void onEvent(const Event &ev) { (void)ev; }
+
+    /**
+     * Cycle test support (rt/cycle.h, Interpreter::run). Append the
+     * policy state that future pick() calls depend on beyond
+     * @p state's own cycle key, and return true. Return false when
+     * future picks are not a function of such a key right now — a
+     * random policy, a cursor still walking a recorded trace — which
+     * skips the test at this decision point. The default opts out.
+     */
+    virtual bool
+    cycleKey(const VmState &state, std::vector<std::uint64_t> &out) const
+    {
+        (void)state;
+        (void)out;
+        return false;
+    }
+
+    /** Position in the history a recording policy keeps. */
+    struct HistoryMark
+    {
+        std::size_t decisions = 0;
+        std::size_t events = 0;
+    };
+
+    /** Where this policy's recorded history ends now. */
+    virtual HistoryMark historyMark() const { return {}; }
+
+    /**
+     * The interpreter proved that the decisions and events since
+     * @p mark repeat forever and skipped @p times further repetitions
+     * of them; a policy that records what it saw appends them
+     * @p times, so its record matches the uncut run's.
+     */
+    virtual void
+    repeatHistory(const HistoryMark &mark, std::uint64_t times)
+    {
+        (void)mark;
+        (void)times;
+    }
 };
 
 /**
@@ -98,6 +137,13 @@ class RotatePolicy : public SchedulePolicy
                 return t;
         }
         return runnable.front();
+    }
+
+    /** Stateless: picks depend on the VM state alone. */
+    bool
+    cycleKey(const VmState &, std::vector<std::uint64_t> &) const override
+    {
+        return true;
     }
 };
 
@@ -239,6 +285,45 @@ class GuidedPolicy : public SchedulePolicy
         obs.accesses.push_back(ScheduleObservation::accessOf(
             ev, static_cast<int>(obs.picks.size()) - 1));
         fallback->onEvent(ev);
+    }
+
+    /** Past its prefix the policy is its fallback (which records
+     *  no history of its own: rotate or random). */
+    bool
+    cycleKey(const VmState &state,
+             std::vector<std::uint64_t> &out) const override
+    {
+        return obs.picks.size() >= prefix.size() &&
+               fallback->cycleKey(state, out);
+    }
+
+    HistoryMark
+    historyMark() const override
+    {
+        return {obs.picks.size(), obs.accesses.size()};
+    }
+
+    /** Replicate the observation's last period @p times over. */
+    void
+    repeatHistory(const HistoryMark &mark, std::uint64_t times) override
+    {
+        const std::size_t np = obs.picks.size() - mark.decisions;
+        const std::size_t na = obs.accesses.size() - mark.events;
+        obs.picks.reserve(obs.picks.size() + times * np);
+        obs.enabled.reserve(obs.enabled.size() + times * np);
+        obs.accesses.reserve(obs.accesses.size() + times * na);
+        for (std::uint64_t r = 1; r <= times; ++r) {
+            for (std::size_t i = 0; i < np; ++i) {
+                obs.picks.push_back(obs.picks[mark.decisions + i]);
+                obs.enabled.push_back(obs.enabled[mark.decisions + i]);
+            }
+            for (std::size_t i = 0; i < na; ++i) {
+                ScheduleObservation::Access a =
+                    obs.accesses[mark.events + i];
+                a.pick += static_cast<int>(r * np);
+                obs.accesses.push_back(a);
+            }
+        }
     }
 
     /** Everything this run did, for explorer feedback. */

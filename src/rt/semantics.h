@@ -82,6 +82,15 @@ class SemanticMonitor : public EventSink
         }
     }
 
+    /** Without predicates the monitor never reacts to an event. A
+     *  predicate is opaque (it may read any counter), so a monitor
+     *  with one keeps every event. */
+    bool
+    cycleKey(std::vector<std::uint64_t> &) const override
+    {
+        return preds.empty();
+    }
+
     /** Non-empty when a predicate was violated. */
     const std::string &violation() const { return state_.violation; }
 

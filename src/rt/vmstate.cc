@@ -137,6 +137,86 @@ VmState::allExited() const
     return true;
 }
 
+namespace {
+
+void
+keyValue(std::vector<std::uint64_t> &out, const Value &v)
+{
+    if (v.isConcrete()) {
+        out.push_back(static_cast<std::uint64_t>(v.width()));
+        out.push_back(static_cast<std::uint64_t>(v.constValue()));
+    } else {
+        out.push_back(0x100u | static_cast<std::uint64_t>(v.width()));
+        out.push_back(reinterpret_cast<std::uintptr_t>(v.expr().get()));
+    }
+}
+
+template <typename T>
+void
+keyIds(std::vector<std::uint64_t> &out, const std::vector<T> &ids)
+{
+    out.push_back(ids.size());
+    for (T id : ids)
+        out.push_back(static_cast<std::uint64_t>(id));
+}
+
+} // namespace
+
+void
+VmState::cycleKey(std::vector<std::uint64_t> &out) const
+{
+    auto word = [&out](auto v) {
+        out.push_back(static_cast<std::uint64_t>(v));
+    };
+    word(mem.size());
+    for (std::size_t i = 0; i < mem.size(); ++i)
+        keyValue(out, mem[i]);
+
+    word(threads.size());
+    for (const ThreadState &t : threads) {
+        word(t.tid);
+        word(t.status);
+        word(t.wait_sync);
+        word(t.wait_tid);
+        word(t.cond_relock);
+        word(t.spawn_arg);
+        word(t.stack->size());
+        for (const Frame &f : *t.stack) {
+            word(f.func);
+            word(f.ip);
+            word(f.ret_dst);
+            word(f.reg_base);
+        }
+        word(t.regs->size());
+        for (const Value &v : *t.regs)
+            keyValue(out, v);
+        keyIds(out, t.recent_reads);
+    }
+    for (const MutexState &m : mutexes) {
+        word(m.owner);
+        keyIds(out, m.waiters);
+    }
+    for (const CondState &c : conds)
+        keyIds(out, c.waiters);
+    for (const BarrierState &b : barriers) {
+        word(b.arrived);
+        keyIds(out, b.waiting);
+    }
+
+    word(current);
+    word(path.size());
+    word(output.size());
+    word(env_log.size());
+    word(forced_decisions.size());
+    word(forced_cursor);
+    word(resume_in_segment);
+    word(resume_first);
+    word(next_symbol);
+    word(virtual_time);
+    word(outcome);
+    word(rng.rawState());
+}
+
 void
 VmState::unshareAll()
 {

@@ -423,6 +423,19 @@ struct VmState
     bool finished() const { return outcome != RunOutcome::Running; }
 
     /**
+     * Append the cycle key of this state (rt/cycle.h): every field
+     * execution reads, and none of the monotone counters nothing
+     * branches on — global_step, stats, per-thread steps/last_step,
+     * and access_counts. Those counters are the only difference
+     * between two states with equal keys, and Interpreter::run
+     * advances them when it skips whole periods. Symbolic values
+     * contribute their node identity (equal pointers imply equal
+     * expressions; unequal ones merely miss a cycle). Any new field
+     * must be keyed here unless it is such a counter.
+     */
+    void cycleKey(std::vector<std::uint64_t> &out) const;
+
+    /**
      * Force-unshare every copy-on-write container (memory pages,
      * thread stacks, access-count maps), materializing a full deep
      * copy. Only benches and tests call this: it is the deep-copy

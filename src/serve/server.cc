@@ -613,10 +613,16 @@ Server::dispatchWork()
         const std::string bytes =
             wire::encodeFrame({"unit", payload});
         if (!sub::writeAll(w.child.fd, bytes.data(), bytes.size())) {
-            // Dead at dispatch: undo the claim, recycle the worker.
+            // Dead at dispatch: undo the claim, recycle the worker,
+            // and offer the unit to the respawned worker in this
+            // slot right away. Moving on would leave it pending with
+            // an idle pool: nothing else wakes the event loop, so
+            // the submission would never finish (respawns are
+            // bounded by the restart budget, so this terminates).
             sub->pending.push_front(unit);
             sub->attempts[unit] -= 1;
             handleWorkerDeath(wi, "write");
+            --wi;
             continue;
         }
         w.busy = true;

@@ -77,11 +77,14 @@ namespace portend::obs {
     X(ExploreRecorded, "explore.recorded")                                    \
     X(FuzzFlagged, "fuzz.flagged")                                            \
     X(FuzzPrograms, "fuzz.programs")                                          \
+    X(InterpCycleCuts, "interp.cycle_cuts")                                   \
     X(InterpEventsBatched, "interp.events_batched")                           \
     X(InterpPreemptions, "interp.preemptions")                                \
     X(InterpRuns, "interp.runs")                                              \
     X(InterpSteps, "interp.steps")                                            \
     X(InterpSymBranches, "interp.sym_branches")                               \
+    X(InterpTimeoutSteps, "interp.timeout_steps")                             \
+    X(InterpTimeouts, "interp.timeouts")                                      \
     X(InterpValuesBoxed, "interp.values_boxed")                               \
     X(LadderBuildSteps, "ladder.build_steps")                                 \
     X(LadderCoveredSteps, "ladder.covered_steps")                             \

@@ -21,8 +21,10 @@
 #include "explore/explorer.h"
 #include "ir/builder.h"
 #include "portend/portend.h"
+#include "portend/render.h"
 #include "rt/interpreter.h"
 #include "rt/policy.h"
+#include "support/observe.h"
 #include "workloads/registry.h"
 
 namespace portend {
@@ -520,6 +522,67 @@ TEST(ExplorePipelineTest, GuidedEvidenceReplays)
     // replay — still assert the pipeline produced reports.
     EXPECT_FALSE(res.reports.empty());
     (void)replayed;
+}
+
+/** Turns the interpreter's cycle cut off for one scope. */
+struct CycleTestOff
+{
+    CycleTestOff() { rt::setCycleTestEnabled(false); }
+    ~CycleTestOff() { rt::setCycleTestEnabled(true); }
+};
+
+/** Everything a pipeline run prints or exports. */
+std::string
+pipelineBytes(const ir::Program &p, const PortendOptions &o)
+{
+    PortendResult res = Portend(p, o).run();
+    RenderMode text;
+    text.stats = true;
+    RenderMode json;
+    json.json = true;
+    return renderPipelineReport(p.name, p, res, o.mp, o.ma, text) +
+           renderPipelineReport(p.name, p, res, o.mp, o.ma, json) +
+           obs::metricsJson(res.metrics);
+}
+
+// The cycle cut ends a provable spin early in exactly the state the
+// full budget reaches, so verdicts, evidence signatures, and ledgers
+// match the uncut pipeline byte for byte, under both explorers, on
+// these micro programs and on every registry workload (whose
+// busy-wait verdicts time out).
+TEST(CycleCutDifferentialTest, VerdictsMatchTheUncutPipeline)
+{
+    std::vector<std::pair<ir::Program, std::vector<SemanticPredicate>>>
+        programs;
+    for (ir::Program p : {crossWriters(), staggeredWriters(),
+                          lockedWriters(), racyStaggered()})
+        programs.emplace_back(std::move(p),
+                              std::vector<SemanticPredicate>{});
+    for (const std::string &name : workloads::workloadNames()) {
+        workloads::Workload w = workloads::buildWorkload(name);
+        programs.emplace_back(std::move(w.program),
+                              w.semantic_predicates);
+    }
+    obs::Collector col;
+    obs::setCollector(&col);
+    for (const auto &[prog, preds] : programs) {
+        for (explore::ExploreMode mode :
+             {explore::ExploreMode::Random, explore::ExploreMode::Dpor}) {
+            PortendOptions o;
+            o.jobs = 1;
+            o.explore = mode;
+            o.semantic_predicates = preds;
+            const std::string cut = pipelineBytes(prog, o);
+            CycleTestOff off;
+            EXPECT_EQ(cut, pipelineBytes(prog, o))
+                << prog.name << " " << explore::exploreModeName(mode);
+        }
+    }
+    obs::setCollector(nullptr);
+    obs::MetricsShard m;
+    col.drainInto(m);
+    EXPECT_GT(m.counter(obs::Counter::InterpTimeouts), 0u);
+    EXPECT_GT(m.counter(obs::Counter::InterpCycleCuts), 0u);
 }
 
 } // namespace
