@@ -147,6 +147,19 @@ RaceAnalyzer::usableRung(const replay::CheckpointLadder *ladder,
     return rung;
 }
 
+const replay::CheckpointLadder::Rung *
+RaceAnalyzer::usableEnd(const replay::CheckpointLadder *ladder) const
+{
+    const replay::CheckpointLadder::Rung *end =
+        ladder ? ladder->end() : nullptr;
+    // Only a run that ended on its own, inside this analyzer's
+    // budget, is the state a (possibly sliced) tail replay reaches.
+    if (!end || end->state.outcome == rt::RunOutcome::TimedOut ||
+        end->state.global_step >= opts.max_steps)
+        return nullptr;
+    return end;
+}
+
 ViolationKind
 RaceAnalyzer::violationOf(rt::RunOutcome o) const
 {
@@ -269,28 +282,6 @@ RaceAnalyzer::crashInvolvesRaceCell(const rt::VmState &final_state,
     if (chain.empty())
         return true; // nothing to pin the crash on: attribute
     return chain.count(race_global) > 0;
-}
-
-bool
-RaceAnalyzer::statesEqual(const rt::VmState &a, const rt::VmState &b)
-{
-    // The Record/Replay-Analyzer criterion [45]: the *memory image*
-    // immediately after the race. Thread scheduling positions are
-    // deliberately excluded — the alternate ordering trivially
-    // perturbs them, and [45] diffs memory/registers, not schedules.
-    if (a.mem.size() != b.mem.size())
-        return false;
-    for (std::size_t i = 0; i < a.mem.size();) {
-        // Pages the two images still share are equal by construction.
-        if (a.mem.sharesPage(i, b.mem)) {
-            i = a.mem.pageEnd(i);
-            continue;
-        }
-        if (!a.mem[i].equals(b.mem[i]))
-            return false;
-        ++i;
-    }
-    return true;
 }
 
 void
@@ -649,8 +640,22 @@ RaceAnalyzer::singleClassify(const race::RaceReport &race,
     if (have_post_primary)
         post_primary = interp.state();
 
-    if (!interp.state().finished())
-        oc = interp.run();
+    if (!interp.state().finished()) {
+        // Forked from a rung, the primary replays the ladder's own
+        // tail: adopt its end rung rather than replaying it again.
+        const replay::CheckpointLadder::Rung *end =
+            rung ? usableEnd(ladder) : nullptr;
+        if (end) {
+            OBS_SPAN("ladder", "tail-fork");
+            if (obs::Collector *col = obs::collector())
+                col->add(obs::Counter::LadderTailForks, 1);
+            interp.setState(end->state);
+            sem.restore(end->semantics);
+            oc = end->state.outcome;
+        } else {
+            oc = interp.run();
+        }
+    }
     absorbStats(stats, interp.state());
 
     if (!sem.violation().empty()) {

@@ -343,6 +343,16 @@ class RaceAnalyzer
                const std::vector<std::int64_t> &inputs) const;
 
     /**
+     * The ladder's end rung when a primary forked from a usable rung
+     * may adopt it in place of replaying the tail, or nullptr: the
+     * replay must have ended on its own (not TimedOut) below this
+     * analyzer's max_steps, which a sliced budget can set beneath
+     * the ladder's.
+     */
+    const replay::CheckpointLadder::Rung *
+    usableEnd(const replay::CheckpointLadder *ladder) const;
+
+    /**
      * Core of Algorithm 1 lines 5-22: enforce the alternate ordering
      * from a pre-race state and observe the consequences.
      *
@@ -394,9 +404,6 @@ class RaceAnalyzer
      */
     bool crashInvolvesRaceCell(const rt::VmState &final_state,
                                const race::RaceReport &race) const;
-
-    /** Concrete post-race state comparison (RR-Analyzer criterion). */
-    static bool statesEqual(const rt::VmState &a, const rt::VmState &b);
 
     /** Fold a run's counters into @p stats. */
     static void absorbStats(AnalysisStats &stats, const rt::VmState &s);

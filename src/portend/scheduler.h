@@ -89,7 +89,9 @@ struct SchedulerStats
 
     /** Checkpoint-ladder accounting (see replay/checkpoint.h). */
     int ladder_rungs = 0;           ///< pre-race checkpoints cached
-    std::uint64_t ladder_steps = 0; ///< steps of the one build replay
+    /** Steps of the one build replay, the tail it replays to the
+     *  end rung included. */
+    std::uint64_t ladder_steps = 0;
     std::uint64_t ladder_covered_steps = 0; ///< prefix steps saved
 };
 

@@ -79,6 +79,13 @@ CheckpointLadder::build(const ir::Program &prog,
         }
     }
 
+    // Replay the tail once for every consumer (see end()).
+    if (!ladder.rungs_.empty()) {
+        if (!interp.state().finished())
+            interp.run();
+        ladder.end_ = Rung{interp.state(), sem.snapshot()};
+    }
+
     ladder.build_steps_ = interp.state().global_step;
     return ladder;
 }

@@ -23,6 +23,13 @@
  * they would a full one. Classification with a ladder is therefore
  * byte-identical to classification without one — only faster.
  *
+ * Past its last target the build keeps replaying until the run ends
+ * and caches that final state as the *end rung*. The strict replay
+ * with its rotate fallback picks from the VmState alone, so every
+ * cluster's primary of the same trace replays the same tail to the
+ * same final state; an analyzer whose budget admits the whole run
+ * adopts the end rung instead of replaying the tail again.
+ *
  * Sharing contract: after build() the ladder is immutable. Scheduler
  * workers read it concurrently and *copy* rung states (cheap COW
  * copies; the copy only touches atomic reference counts). Nobody
@@ -34,6 +41,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <tuple>
 #include <vector>
 
@@ -103,8 +111,9 @@ class CheckpointLadder
      * analyzer runs), stopping at each target in dynamic order and
      * caching a rung there. Targets the replay never reaches (e.g.
      * the execution crashes first) simply get no rung; lookups miss
-     * and callers fall back to their own replay. The build stops as
-     * soon as every target has a rung.
+     * and callers fall back to their own replay. Once at least one
+     * rung exists, the build replays on to the end of the run and
+     * caches the final state as the end rung.
      *
      * @param prog    finalized program under test
      * @param trace   recorded schedule trace (its inputs drive the
@@ -132,10 +141,18 @@ class CheckpointLadder
      *  replay the same inputs for its rung to be valid. */
     const std::vector<std::int64_t> &inputs() const { return inputs_; }
 
-    /** Number of cached rungs. */
+    /**
+     * The end rung: the replay's final state (finished, possibly
+     * TimedOut under the build's budget) and the monitor state
+     * there, or nullptr when the build cached no pre-race rung.
+     */
+    const Rung *end() const { return end_ ? &*end_ : nullptr; }
+
+    /** Number of cached pre-race rungs (the end rung not included). */
     std::size_t size() const { return rungs_.size(); }
 
-    /** Interpreter steps the one shared build replay executed. */
+    /** Interpreter steps the one shared build replay executed, the
+     *  tail it replays to the end rung included. */
     std::uint64_t buildSteps() const { return build_steps_; }
 
     /**
@@ -150,6 +167,7 @@ class CheckpointLadder
     using Key = std::tuple<rt::ThreadId, int, std::uint64_t>;
 
     std::vector<Rung> rungs_;
+    std::optional<Rung> end_;
     std::map<Key, std::size_t> index_;
     std::vector<std::int64_t> inputs_;
     std::uint64_t build_steps_ = 0;

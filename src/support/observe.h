@@ -90,6 +90,7 @@ namespace portend::obs {
     X(LadderCoveredSteps, "ladder.covered_steps")                             \
     X(LadderForks, "ladder.forks")                                            \
     X(LadderRungs, "ladder.rungs")                                            \
+    X(LadderTailForks, "ladder.tail_forks")                                   \
     X(PipelineWorkloads, "pipeline.workloads")                                \
     X(ServeRequests, "serve.requests")                                        \
     X(ServeSubmissions, "serve.submissions")                                  \

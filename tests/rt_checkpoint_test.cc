@@ -1,9 +1,10 @@
 /** @file Copy-on-write checkpoint and checkpoint-ladder tests:
  *  fork-then-mutate isolation (writes in a fork never bleed into the
  *  parent or siblings), ladder-resume equivalence (resuming a cached
- *  rung is byte-identical to replaying from step 0), and the
- *  classify-with-ladder == classify-without contract. The whole
- *  suite runs under the TSan CI job. */
+ *  rung, or adopting the end rung, is byte-identical to replaying
+ *  from step 0), and the classify-with-ladder == classify-without
+ *  contract, sliced budgets included. The whole suite runs under the
+ *  TSan CI job. */
 
 #include <gtest/gtest.h>
 
@@ -17,6 +18,7 @@
 #include "rt/interpreter.h"
 #include "rt/policy.h"
 #include "support/cow.h"
+#include "support/observe.h"
 #include "workloads/registry.h"
 
 namespace portend {
@@ -196,6 +198,70 @@ detectOn(const workloads::Workload &w, core::PortendOptions &opts)
     return tool.detect();
 }
 
+/** The ladder the scheduler builds for one detection run. */
+replay::CheckpointLadder
+ladderFor(const workloads::Workload &w, const core::DetectionResult &det,
+          const core::PortendOptions &opts)
+{
+    return replay::CheckpointLadder::build(
+        w.program, det.trace,
+        replay::CheckpointLadder::targetsFor(det.clusters),
+        core::RaceAnalyzer::replayOptions(opts),
+        opts.semantic_predicates);
+}
+
+/** Every deterministic field of two classifications: verdict,
+ *  evidence and the whole AnalysisStats ledger (wall-clock aside). */
+void
+expectSameClassification(const core::Classification &plain,
+                         const core::Classification &laddered,
+                         const std::string &what)
+{
+    EXPECT_EQ(plain.cls, laddered.cls) << what;
+    EXPECT_EQ(plain.viol, laddered.viol) << what;
+    EXPECT_EQ(plain.k, laddered.k) << what;
+    EXPECT_EQ(plain.detail, laddered.detail) << what;
+    EXPECT_EQ(plain.output_diff, laddered.output_diff) << what;
+    EXPECT_EQ(plain.states_differ, laddered.states_differ) << what;
+    EXPECT_EQ(plain.evidence_inputs, laddered.evidence_inputs) << what;
+    EXPECT_EQ(plain.evidence_witness, laddered.evidence_witness)
+        << what;
+    EXPECT_EQ(plain.evidence_seed, laddered.evidence_seed) << what;
+    EXPECT_EQ(plain.evidence_schedule, laddered.evidence_schedule)
+        << what;
+    EXPECT_EQ(plain.evidence_signature, laddered.evidence_signature)
+        << what;
+    EXPECT_EQ(plain.evidence_alternate, laddered.evidence_alternate)
+        << what;
+
+    const core::AnalysisStats &a = plain.stats;
+    const core::AnalysisStats &b = laddered.stats;
+    EXPECT_EQ(a.preemptions, b.preemptions) << what;
+    EXPECT_EQ(a.sym_branches, b.sym_branches) << what;
+    EXPECT_EQ(a.steps, b.steps) << what;
+    EXPECT_EQ(a.paths_explored, b.paths_explored) << what;
+    EXPECT_EQ(a.schedules_explored, b.schedules_explored) << what;
+    EXPECT_EQ(a.distinct_schedules, b.distinct_schedules) << what;
+    EXPECT_EQ(a.states_created, b.states_created) << what;
+    EXPECT_EQ(a.solver_queries, b.solver_queries) << what;
+}
+
+/** Installs a process collector for the scope of one test. */
+struct Collect
+{
+    obs::Collector col;
+    Collect() { obs::setCollector(&col); }
+    ~Collect() { obs::setCollector(nullptr); }
+
+    std::uint64_t
+    counter(obs::Counter c) const
+    {
+        obs::MetricsShard s;
+        col.drainInto(s);
+        return s.counter(c);
+    }
+};
+
 TEST(CheckpointLadderTest, RungEqualsFromZeroReplay)
 {
     workloads::Workload w = workloads::buildWorkload("pbzip2");
@@ -203,11 +269,7 @@ TEST(CheckpointLadderTest, RungEqualsFromZeroReplay)
     core::DetectionResult det = detectOn(w, opts);
     ASSERT_FALSE(det.clusters.empty());
 
-    replay::CheckpointLadder ladder = replay::CheckpointLadder::build(
-        w.program, det.trace,
-        replay::CheckpointLadder::targetsFor(det.clusters),
-        core::RaceAnalyzer::replayOptions(opts),
-        opts.semantic_predicates);
+    replay::CheckpointLadder ladder = ladderFor(w, det, opts);
     ASSERT_GT(ladder.size(), 0u);
 
     for (const auto &c : det.clusters) {
@@ -252,11 +314,68 @@ TEST(CheckpointLadderTest, RungEqualsFromZeroReplay)
     }
 }
 
+// The end rung is the state a from-0 strict replay (rotate fallback
+// past the trace) ends in, monitor included.
+TEST(CheckpointLadderTest, EndRungEqualsFullReplay)
+{
+    int compared = 0;
+    for (const std::string &name : workloads::workloadNames()) {
+        workloads::Workload w = workloads::buildWorkload(name);
+        core::PortendOptions opts;
+        core::DetectionResult det = detectOn(w, opts);
+        if (det.clusters.empty())
+            continue;
+        replay::CheckpointLadder ladder = ladderFor(w, det, opts);
+        const replay::CheckpointLadder::Rung *end = ladder.end();
+        ASSERT_EQ(end != nullptr, ladder.size() > 0) << name;
+        if (!end)
+            continue;
+
+        rt::ExecOptions eo = core::RaceAnalyzer::replayOptions(opts);
+        eo.concrete_inputs = det.trace.concreteInputs();
+        rt::Interpreter interp(w.program, eo);
+        rt::RotatePolicy rotate;
+        replay::TracePolicy tp(det.trace,
+                               replay::TracePolicy::Mode::Strict,
+                               &rotate);
+        interp.setPolicy(&tp);
+        rt::SemanticMonitor sem(interp, opts.semantic_predicates);
+        interp.addSink(&sem);
+        interp.run();
+        const rt::VmState &ref = interp.state();
+
+        EXPECT_TRUE(end->state.finished()) << name;
+        EXPECT_EQ(ladder.buildSteps(), ref.global_step) << name;
+        EXPECT_EQ(end->state.global_step, ref.global_step) << name;
+        EXPECT_EQ(end->state.outcome, ref.outcome) << name;
+        EXPECT_EQ(end->state.outcome_detail, ref.outcome_detail) << name;
+        EXPECT_EQ(end->state.output.concrete_chain.digest(),
+                  ref.output.concrete_chain.digest())
+            << name;
+        ASSERT_EQ(end->state.mem.size(), ref.mem.size()) << name;
+        for (std::size_t i = 0; i < ref.mem.size(); ++i) {
+            EXPECT_TRUE(end->state.mem[i].equals(ref.mem[i]))
+                << name << " cell " << i;
+        }
+        EXPECT_EQ(end->state.access_counts.ro(), ref.access_counts.ro())
+            << name;
+        EXPECT_EQ(end->state.stats.preemption_points,
+                  ref.stats.preemption_points)
+            << name;
+        EXPECT_EQ(end->semantics.violation, sem.violation()) << name;
+        EXPECT_EQ(end->semantics.violation_cell, sem.violationCell())
+            << name;
+        ++compared;
+    }
+    EXPECT_GT(compared, 0);
+}
+
 // The headline contract of the ladder: classification with it is
 // byte-identical to classification without it — verdict, detail,
-// evidence, and the step ledger — across every registry workload.
+// evidence, and the whole ledger — across every registry workload.
 TEST(CheckpointLadderTest, ClassifyWithLadderMatchesWithout)
 {
+    Collect obs;
     for (const std::string &name : workloads::workloadNames()) {
         workloads::Workload w = workloads::buildWorkload(name);
         core::PortendOptions opts;
@@ -264,38 +383,62 @@ TEST(CheckpointLadderTest, ClassifyWithLadderMatchesWithout)
         if (det.clusters.empty())
             continue;
 
-        replay::CheckpointLadder ladder =
-            replay::CheckpointLadder::build(
-                w.program, det.trace,
-                replay::CheckpointLadder::targetsFor(det.clusters),
-                core::RaceAnalyzer::replayOptions(opts),
-                opts.semantic_predicates);
-
+        replay::CheckpointLadder ladder = ladderFor(w, det, opts);
         core::RaceAnalyzer analyzer(w.program, opts);
         for (const auto &c : det.clusters) {
             core::Classification plain =
                 analyzer.classify(c.representative, det.trace);
             core::Classification laddered = analyzer.classify(
                 c.representative, det.trace, &ladder);
-            EXPECT_EQ(plain.cls, laddered.cls) << name;
-            EXPECT_EQ(plain.viol, laddered.viol) << name;
-            EXPECT_EQ(plain.k, laddered.k) << name;
-            EXPECT_EQ(plain.detail, laddered.detail) << name;
-            EXPECT_EQ(plain.output_diff, laddered.output_diff) << name;
-            EXPECT_EQ(plain.evidence_inputs, laddered.evidence_inputs)
-                << name;
-            EXPECT_EQ(plain.evidence_seed, laddered.evidence_seed)
-                << name;
-            EXPECT_EQ(plain.states_differ, laddered.states_differ)
-                << name;
-            // The rung carries the prefix's counters, so even the
-            // ledger is identical — the ladder only saves time.
-            EXPECT_EQ(plain.stats.steps, laddered.stats.steps) << name;
-            EXPECT_EQ(plain.stats.schedules_explored,
-                      laddered.stats.schedules_explored)
-                << name;
+            // The rungs carry the prefix's and the tail's counters,
+            // so even the ledger is identical — the ladder only
+            // saves time.
+            expectSameClassification(plain, laddered, name);
         }
     }
+    // The comparison covered adopted tails, not only forked prefixes.
+    EXPECT_GT(obs.counter(obs::Counter::LadderTailForks), 0u);
+}
+
+// A budget sliced below the end rung must refuse it: the analyzer's
+// own tail replay times out where the ladder's finished.
+TEST(CheckpointLadderTest, SlicedBudgetRefusesEndRung)
+{
+    int sliced = 0;
+    for (const std::string &name : workloads::workloadNames()) {
+        workloads::Workload w = workloads::buildWorkload(name);
+        core::PortendOptions opts;
+        core::DetectionResult det = detectOn(w, opts);
+        if (det.clusters.empty())
+            continue;
+        replay::CheckpointLadder ladder = ladderFor(w, det, opts);
+        const replay::CheckpointLadder::Rung *end = ladder.end();
+        if (!end || end->state.outcome == rt::RunOutcome::TimedOut)
+            continue;
+
+        for (const auto &c : det.clusters) {
+            const race::RaceReport &race = c.representative;
+            const replay::CheckpointLadder::Rung *rung = ladder.find(
+                race.first.tid, race.cell, race.first.cell_occurrence);
+            if (!rung)
+                continue;
+            const std::uint64_t lo = rung->state.global_step;
+            const std::uint64_t hi = end->state.global_step;
+            for (std::uint64_t budget : {lo + (hi - lo) / 2, hi - 1, hi}) {
+                if (budget <= lo)
+                    continue;
+                core::PortendOptions task = opts;
+                task.max_steps = budget;
+                core::RaceAnalyzer analyzer(w.program, task);
+                expectSameClassification(
+                    analyzer.classify(race, det.trace),
+                    analyzer.classify(race, det.trace, &ladder),
+                    name + " max_steps " + std::to_string(budget));
+                ++sliced;
+            }
+        }
+    }
+    EXPECT_GT(sliced, 0);
 }
 
 // A ladder built over different inputs must be ignored, not used.
