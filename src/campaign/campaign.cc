@@ -9,6 +9,7 @@
 #include <sstream>
 #include <utility>
 
+#include "campaign/journal.h"
 #include "campaign/queue.h"
 #include "explore/explorer.h"
 #include "ir/serialize.h"
@@ -152,6 +153,65 @@ loadUnit(const UnitSpec &spec, workloads::Workload *out,
         return true;
     }
     return fail(error, "unknown unit kind: " + spec.kind);
+}
+
+/**
+ * Execute one manifest unit against @p cache, with no journaling:
+ * load the program, run detection, compute the campaign signature,
+ * probe the cache, classify on a miss, and store the rendered
+ * verdict back. False with @p error on a load or pipeline failure;
+ * cache-store I/O errors degrade to memory-only and surface through
+ * @p store_error without failing the unit.
+ */
+bool
+executeUnit(const CampaignConfig &config, std::size_t index,
+            VerdictCache &cache, UnitResult *out, std::string *error,
+            std::string *store_error)
+{
+    out->index = index;
+    out->spec = config.units[index];
+
+    workloads::Workload w;
+    if (!loadUnit(out->spec, &w, error))
+        return false;
+
+    core::PortendOptions opts = config.analysis;
+    opts.jobs = 1; // units fan out; inner pipelines stay serial
+    opts.semantic_predicates = w.semantic_predicates;
+
+    core::Portend tool(w.program, opts);
+    core::DetectionResult det = tool.detect();
+
+    UnitKey key;
+    key.fingerprint = rt::programFingerprint(w.program);
+    key.trace_hash = traceHash(det.trace);
+    key.config_hash =
+        configHash(opts, unitSalt(out->spec, config.render));
+    out->key = key;
+    out->sig = signatureHex(key);
+
+    std::optional<CacheEntry> hit = cache.probe(out->sig);
+    if (hit) {
+        out->rendered = hit->payload;
+        out->source = UnitSource::CacheHit;
+        out->metrics.add(obs::Counter::PipelineWorkloads, 1);
+        out->metrics.merge(det.metrics);
+        return true;
+    }
+
+    core::PortendResult res = tool.runFrom(std::move(det));
+    out->rendered = core::renderPipelineReport(
+        w.name, w.program, res, opts.mp, opts.ma, config.render);
+    out->metrics = res.metrics;
+    out->source = UnitSource::Executed;
+
+    CacheEntry entry;
+    entry.sig = out->sig;
+    entry.key = key;
+    entry.name = out->spec.name;
+    entry.payload = out->rendered;
+    cache.store(entry, store_error);
+    return true;
 }
 
 } // namespace
@@ -352,59 +412,6 @@ CampaignResult::mergedOutput(bool json) const
     return out;
 }
 
-bool
-executeUnit(const CampaignConfig &config, std::size_t index,
-            VerdictCache &cache, UnitResult *out, std::string *error,
-            std::string *store_error)
-{
-    if (index >= config.units.size())
-        return fail(error, "unit index out of range");
-    out->index = index;
-    out->spec = config.units[index];
-
-    workloads::Workload w;
-    if (!loadUnit(out->spec, &w, error))
-        return false;
-
-    core::PortendOptions opts = config.analysis;
-    opts.jobs = 1; // units fan out; inner pipelines stay serial
-    opts.semantic_predicates = w.semantic_predicates;
-
-    core::Portend tool(w.program, opts);
-    core::DetectionResult det = tool.detect();
-
-    UnitKey key;
-    key.fingerprint = rt::programFingerprint(w.program);
-    key.trace_hash = traceHash(det.trace);
-    key.config_hash =
-        configHash(opts, unitSalt(out->spec, config.render));
-    out->key = key;
-    out->sig = signatureHex(key);
-
-    std::optional<CacheEntry> hit = cache.probe(out->sig);
-    if (hit) {
-        out->rendered = hit->payload;
-        out->source = UnitSource::CacheHit;
-        out->metrics.add(obs::Counter::PipelineWorkloads, 1);
-        out->metrics.merge(det.metrics);
-        return true;
-    }
-
-    core::PortendResult res = tool.runFrom(std::move(det));
-    out->rendered = core::renderPipelineReport(
-        w.name, w.program, res, opts.mp, opts.ma, config.render);
-    out->metrics = res.metrics;
-    out->source = UnitSource::Executed;
-
-    CacheEntry entry;
-    entry.sig = out->sig;
-    entry.key = key;
-    entry.name = out->spec.name;
-    entry.payload = out->rendered;
-    cache.store(entry, store_error);
-    return true;
-}
-
 Campaign::Campaign(CampaignConfig config)
     : config_(std::move(config)),
       cache_(std::make_unique<VerdictCache>())
@@ -474,8 +481,7 @@ Campaign::create(const std::string &dir, CampaignConfig config,
 }
 
 std::optional<Campaign>
-Campaign::open(const std::string &dir, std::string *error,
-               const std::string &cache_dir)
+Campaign::open(const std::string &dir, std::string *error)
 {
     fs::path manifest = fs::path(dir) / kManifestFile;
     std::ifstream is(manifest, std::ios::binary);
@@ -489,7 +495,7 @@ Campaign::open(const std::string &dir, std::string *error,
         parseManifest(os.str(), error);
     if (!config)
         return std::nullopt;
-    return Campaign(std::move(*config), dir, cache_dir);
+    return Campaign(std::move(*config), dir);
 }
 
 CampaignResult
@@ -530,58 +536,6 @@ Campaign::replayJournal()
         emitUnitEvent(u);
     }
     return result;
-}
-
-bool
-Campaign::openJournal(std::string *error)
-{
-    const std::string path = journalPath();
-    if (path.empty())
-        return true; // ephemeral: nothing to journal
-    if (!journal_)
-        journal_ = std::make_unique<JournalWriter>();
-    return journal_->isOpen() || journal_->open(path, error);
-}
-
-void
-Campaign::closeJournal()
-{
-    if (journal_)
-        journal_->close();
-}
-
-bool
-Campaign::recordCompletion(CampaignResult &result, std::size_t index,
-                           const std::string &sig, bool cached,
-                           std::string *error)
-{
-    if (index >= result.units.size())
-        return fail(error, "completion for out-of-range unit index");
-    UnitResult &u = result.units[index];
-    if (u.source != UnitSource::Pending)
-        return true; // duplicate completion (re-dispatch overlap)
-    std::optional<CacheEntry> hit = cache_->probe(sig);
-    if (!hit)
-        return fail(error,
-                    "no cache entry for reported signature " + sig);
-    u.sig = sig;
-    u.key = hit->key;
-    u.rendered = hit->payload;
-    u.source = cached ? UnitSource::CacheHit : UnitSource::Executed;
-
-    if (journal_ && journal_->isOpen()) {
-        JournalRecord rec;
-        rec.unit = index;
-        rec.kind = u.spec.kind;
-        rec.name = u.spec.name;
-        rec.sig = sig;
-        rec.key = hit->key;
-        std::string jerr;
-        if (!journal_->append(rec, &jerr) && result.error.empty())
-            result.error = jerr;
-    }
-    emitUnitEvent(u);
-    return true;
 }
 
 void
@@ -627,12 +581,13 @@ Campaign::run(int abort_after_units, int jobs_override)
             pending.push_back(u.index);
     Queue<std::size_t> queue(std::move(pending));
 
+    // Ephemeral campaigns have no journal; the writer stays closed.
     std::mutex journal_mu;
-    std::string first_error;
-    if (!openJournal(&first_error)) {
-        result.error = first_error;
+    JournalWriter journal;
+    const std::string journal_path = journalPath();
+    if (!journal_path.empty() &&
+        !journal.open(journal_path, &result.error))
         return result;
-    }
 
     std::atomic<int> journaled{0};
     std::atomic<bool> failed{false};
@@ -654,7 +609,7 @@ Campaign::run(int abort_after_units, int jobs_override)
                 result.error = store_err;
         }
 
-        if (journal_ && journal_->isOpen()) {
+        if (journal.isOpen()) {
             JournalRecord rec;
             rec.unit = index;
             rec.kind = u.spec.kind;
@@ -663,7 +618,7 @@ Campaign::run(int abort_after_units, int jobs_override)
             rec.key = u.key;
             std::string jerr;
             std::lock_guard<std::mutex> lock(journal_mu);
-            if (!journal_->append(rec, &jerr) && result.error.empty())
+            if (!journal.append(rec, &jerr) && result.error.empty())
                 result.error = jerr;
         }
         journaled.fetch_add(1);
@@ -689,7 +644,7 @@ Campaign::run(int abort_after_units, int jobs_override)
                     runUnit(*index);
             };
         });
-    closeJournal();
+    journal.close();
 
     result.aborted =
         abort_after_units >= 0 && !queue.drained() &&

@@ -37,7 +37,6 @@
 #include <vector>
 
 #include "campaign/cache.h"
-#include "campaign/journal.h"
 #include "campaign/signature.h"
 #include "portend/render.h"
 #include "support/observe.h"
@@ -121,34 +120,15 @@ struct CampaignResult
 };
 
 /**
- * Execute one manifest unit against @p cache, with no journaling:
- * load the program, run detection, compute the campaign signature,
- * probe the cache, classify on a miss, and store the rendered
- * verdict back. The completion record is the caller's job — the
- * in-process engine journals it itself, while the serve layer's
- * worker processes report the signature back to the server, which
- * owns the journal (single writer). False with @p error on a load
- * or pipeline failure; cache-store I/O errors degrade to
- * memory-only and surface through @p store_error without failing
- * the unit.
- */
-bool executeUnit(const CampaignConfig &config, std::size_t index,
-                 VerdictCache &cache, UnitResult *out,
-                 std::string *error, std::string *store_error = nullptr);
-
-/**
  * A classification campaign over a fixed manifest. Construct
  * ephemeral (in-memory) via the config constructor, or persistent
  * via create()/open().
  *
- * run() is the one-process driver; the serve layer drives the same
- * phases across worker processes instead: replayJournal() to skip
- * journaled units, campaign::executeUnit() inside each worker
- * against the shared on-disk cache, recordCompletion() on the
- * server for every unit a worker reports done, and finalize() to
- * merge metrics — the resume and byte-identity contracts hold for
- * both drivers because they are properties of the phases, not of
- * the threading.
+ * run() drives three phases: replay the journal to skip units a
+ * previous run completed, execute the rest on the thread pool
+ * (journaling each completion after its cache entry), and merge
+ * metrics in manifest order. The resume and byte-identity contracts
+ * are properties of these phases, not of the threading.
  */
 class Campaign
 {
@@ -164,8 +144,8 @@ class Campaign
      * a mismatch is an error, never a silent re-configuration.
      *
      * @param cache_dir overrides the verdict-cache directory
-     *        (default `<dir>/cache`) — the serve layer points every
-     *        campaign at one shared cross-campaign cache.
+     *        (default `<dir>/cache`), so several campaigns can share
+     *        one cross-campaign cache.
      */
     static std::optional<Campaign> create(const std::string &dir,
                                           CampaignConfig config,
@@ -175,8 +155,7 @@ class Campaign
     /** Open an existing campaign, taking every parameter from its
      *  manifest (the resume path: flags cannot skew a resumed run). */
     static std::optional<Campaign> open(const std::string &dir,
-                                        std::string *error = nullptr,
-                                        const std::string &cache_dir = "");
+                                        std::string *error = nullptr);
 
     /**
      * Execute every unit the journal does not already cover and
@@ -192,42 +171,7 @@ class Campaign
     CampaignResult run(int abort_after_units = -1,
                        int jobs_override = 0);
 
-    /**
-     * Phase 1 of run(), exposed for external drivers: a fresh
-     * result skeleton (every manifest unit Pending) with all
-     * journal-covered units replayed from the cache.
-     */
-    CampaignResult replayJournal();
-
-    /** Open the journal for appending (no-op for ephemeral
-     *  campaigns). External drivers call this once before their
-     *  first recordCompletion(). */
-    bool openJournal(std::string *error = nullptr);
-    void closeJournal();
-
-    /**
-     * Record one externally executed unit: probe the cache for
-     * @p sig (the worker stored the entry before reporting, so a
-     * miss means the worker lied or its store was lost — false,
-     * re-dispatch), fill the unit's payload in @p result, append
-     * the journal record, and bump the result's source counter.
-     * @p cached distinguishes a worker-side cache hit from a full
-     * execution (bookkeeping only; the bytes are identical).
-     */
-    bool recordCompletion(CampaignResult &result, std::size_t index,
-                          const std::string &sig, bool cached,
-                          std::string *error = nullptr);
-
-    /** The merge phase of run(): fold unit shards and the engine's
-     *  campaign.* counters into result.metrics (idempotent only if
-     *  called once — call after the last completion). */
-    void finalize(CampaignResult &result) const;
-
-    /** The verdict cache (shared-dir campaigns share entries). */
-    VerdictCache &cache() { return *cache_; }
-
     const CampaignConfig &config() const { return config_; }
-    const std::string &dir() const { return dir_; }
 
     /** Campaign state summary (for `portend campaign status`). */
     struct Status
@@ -245,10 +189,18 @@ class Campaign
 
     std::string journalPath() const;
 
+    /** Phase 1 of run(): a fresh result skeleton (every manifest
+     *  unit Pending) with all journal-covered units replayed from
+     *  the cache. */
+    CampaignResult replayJournal();
+
+    /** The merge phase of run(): fold unit shards and the engine's
+     *  campaign.* counters into result.metrics. */
+    void finalize(CampaignResult &result) const;
+
     CampaignConfig config_;
     std::string dir_; ///< "" = ephemeral
     std::unique_ptr<VerdictCache> cache_;
-    std::unique_ptr<JournalWriter> journal_;
 };
 
 } // namespace portend::campaign

@@ -224,6 +224,7 @@ replayEntry(const CorpusEntry &entry, const OracleOptions &opts)
     // the full battery so deep checks can be re-evaluated.
     o.deep = o.deep || entry.kind == "disagreement";
     OracleVerdict v = runOracle(*prog, o);
+    out.metrics = v.metrics;
 
     if (entry.kind == "disagreement") {
         // Green once the recorded falsification no longer reproduces.
@@ -276,6 +277,7 @@ runCorpus(const std::string &dir, const OracleOptions &opts)
         res.total += 1;
         if (out.ok)
             res.passed += 1;
+        res.metrics.merge(out.metrics);
         res.outcomes.push_back(std::move(out));
     }
     return res;

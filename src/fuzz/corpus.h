@@ -95,6 +95,7 @@ struct ReplayOutcome
     std::string name;
     bool ok = false;
     std::string detail; ///< why the replay failed ("" when ok)
+    obs::MetricsShard metrics; ///< the oracle's primary-run metrics
 };
 
 /**
@@ -111,6 +112,7 @@ struct CorpusRunResult
     int total = 0;
     int passed = 0;
     std::vector<ReplayOutcome> outcomes;
+    obs::MetricsShard metrics; ///< outcome shards, in entry order
 
     bool allGreen() const { return passed == total; }
 };

@@ -369,6 +369,7 @@ runFuzz(const FuzzOptions &opts)
             res.baseline_counts[name] += n;
         if (r.verdict.flagged())
             res.flagged += 1;
+        res.metrics.merge(r.verdict.metrics);
     }
 
     // -- Minimization + corpus persistence (sequential, in index

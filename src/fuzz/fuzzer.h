@@ -116,6 +116,10 @@ struct FuzzResult
 
     std::vector<FuzzFinding> findings;
 
+    /** Oracle primary-run shards merged in index order (minimization
+     *  probes excluded; a cache hit contributes an empty shard). */
+    obs::MetricsShard metrics;
+
     double seconds = 0.0; ///< wall clock; never in summaryText()
 
     /** True when every oracle check of every program passed. */

@@ -151,6 +151,7 @@ runOracle(const ir::Program &prog, const OracleOptions &opts)
         v.class_counts[core::raceClassName(rep.classification.cls)] += 1;
     v.trace_text = r1.detection.trace.serialize();
     v.report_text = renderRun(prog, r1);
+    v.metrics = r1.metrics;
 
     // -- Detector monotonicity ---------------------------------------
     {

@@ -57,6 +57,7 @@
 
 #include "explore/explorer.h"
 #include "ir/program.h"
+#include "support/observe.h"
 
 namespace portend::fuzz {
 
@@ -120,6 +121,10 @@ struct OracleVerdict
      * Stored in corpus reproducer meta.txt.
      */
     std::string witness_text;
+
+    /** Pipeline metrics of the primary run (never serialized: a
+     *  cached verdict carries an empty shard). */
+    obs::MetricsShard metrics;
 
     /** True when any check failed. */
     bool flagged() const;

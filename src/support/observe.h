@@ -92,13 +92,6 @@ namespace portend::obs {
     X(LadderRungs, "ladder.rungs")                                            \
     X(LadderTailForks, "ladder.tail_forks")                                   \
     X(PipelineWorkloads, "pipeline.workloads")                                \
-    X(ServeRequests, "serve.requests")                                        \
-    X(ServeSubmissions, "serve.submissions")                                  \
-    X(ServeUnitsCached, "serve.units_cached")                                 \
-    X(ServeUnitsCompleted, "serve.units_completed")                           \
-    X(ServeUnitsDispatched, "serve.units_dispatched")                         \
-    X(ServeWorkerDeaths, "serve.worker_deaths")                               \
-    X(ServeWorkerRestarts, "serve.worker_restarts")                           \
     X(SolverQueries, "sym.solver_queries")                                    \
     X(SymPathForks, "sym.path_forks")                                         \
     X(VerdictKWitnessHarmless, "verdicts.k_witness_harmless")                 \

@@ -14,12 +14,16 @@
 #include <filesystem>
 #include <fstream>
 
+#ifndef _WIN32
+#include <sys/wait.h>
+#include <unistd.h>
+#endif
+
 #include "campaign/cache.h"
 #include "campaign/campaign.h"
 #include "campaign/journal.h"
 #include "campaign/queue.h"
 #include "campaign/signature.h"
-#include "support/subproc.h"
 #include "fuzz/fuzzer.h"
 #include "fuzz/oracle.h"
 #include "portend/portend.h"
@@ -265,37 +269,34 @@ TEST(CacheTest, WrongSignatureEntryIsReplacedByStore)
 #ifndef _WIN32
 TEST(CacheTest, CrossProcessStoreRaceLeavesOneValidEntry)
 {
-    // Two worker processes racing store() on one signature — the
-    // serve layer's steady state. The temp + rename publish means
-    // whichever rename lands last wins wholesale; the file must
-    // never interleave bytes from both writers.
+    // Two processes racing store() on one signature, as two
+    // `campaign run`s (or `fuzz --campaign` runs) sharing a cache
+    // directory do. The temp + rename publish means whichever rename
+    // lands last wins wholesale; the file must never interleave
+    // bytes from both writers.
     const std::string dir = scratchDir("cache_race");
     CacheEntry e;
     e.key = {0x77, 0x88, 0x99};
     e.sig = signatureHex(e.key);
     e.name = "unit";
     e.payload = std::string(8192, 'p'); // big enough to tear
-    std::vector<sub::Child> children;
+    std::vector<pid_t> children;
     for (int c = 0; c < 2; ++c) {
-        std::optional<sub::Child> child = sub::spawn(
-            [dir, e](int) {
-                VerdictCache cache(dir);
-                for (int i = 0; i < 200; ++i)
-                    if (!cache.store(e))
-                        return 1;
-                return 0;
-            },
-            nullptr);
-        if (!child.has_value())
-            return; // spawn unavailable: nothing to test
-        children.push_back(*child);
+        const pid_t pid = ::fork();
+        ASSERT_GE(pid, 0) << "fork failed";
+        if (pid == 0) {
+            VerdictCache cache(dir);
+            for (int i = 0; i < 200; ++i)
+                if (!cache.store(e))
+                    ::_exit(1);
+            ::_exit(0);
+        }
+        children.push_back(pid);
     }
-    for (sub::Child &c : children) {
+    for (pid_t pid : children) {
         int status = -1;
-        while (!sub::reap(c, &status))
-            ;
-        EXPECT_EQ(status, 0);
-        sub::closeChannel(c);
+        ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+        EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
     }
     VerdictCache verify(dir);
     std::optional<CacheEntry> hit = verify.probe(e.sig);

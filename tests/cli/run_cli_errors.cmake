@@ -27,10 +27,6 @@ set(bad_cases
     "campaign run ignored --abort-after -1"
     "fuzz --budget -5"
     "fuzz --fuzz-seed -2"
-    "serve state --workers 0 --port 1"
-    "serve state --port 65536"
-    "submit --port 0"
-    "submit --socket x --timeout 0 --status"
     )
 
 foreach(case IN LISTS bad_cases)

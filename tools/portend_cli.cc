@@ -9,7 +9,6 @@
  * The help text below is kept in sync with docs/CLI.md.
  */
 
-#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -23,8 +22,6 @@
 #include <vector>
 
 #include "campaign/campaign.h"
-#include "serve/client.h"
-#include "serve/server.h"
 #include "explore/explorer.h"
 #include "fuzz/corpus.h"
 #include "fuzz/fuzzer.h"
@@ -45,7 +42,7 @@ namespace {
 using namespace portend;
 
 // Keep this text byte-identical with the Usage section of
-// docs/CLI.md.
+// docs/CLI.md (the cli_help_doc test diffs the two).
 const char kUsage[] =
     R"(portend - tell data races apart from data race bugs (ASPLOS 2012)
 
@@ -70,21 +67,6 @@ Usage:
   portend campaign status <dir>         report completed/total units
                                         (exit 0 when complete, 3 when
                                         work remains)
-  portend serve <dir> [serve options]   run the sharded triage server:
-                                        campaign submissions arrive over
-                                        a socket and fan out to forked
-                                        worker processes that share one
-                                        on-disk verdict cache under <dir>;
-                                        a SIGKILLed worker's units are
-                                        re-dispatched, so merged verdicts
-                                        stay byte-identical to a
-                                        single-process `campaign run`
-  portend submit [analysis options]     submit the full registry with the
-                                        given analysis flags as a campaign
-                                        to a running server and print the
-                                        merged verdicts; with --status,
-                                        --ping, or --shutdown, talk to the
-                                        server instead of submitting
   portend fuzz [options]                generate racy PIL programs, cross-
                                         check detectors and classifier,
                                         minimize and store reproducers
@@ -162,29 +144,6 @@ Campaign options (portend campaign run/resume):
                        (crash simulation for kill-and-resume
                        testing); exits with code 3 while work
                        remains
-
-Serve options (portend serve):
-  --workers <N>        worker processes to pre-fork (default 2)
-  --socket <path>      listen on this Unix-domain socket
-  --port <N>           listen on loopback TCP instead (0 picks an
-                       ephemeral port; the chosen one is printed)
-  --max-restarts <N>   worker respawn budget (default 16)
-  --attempts <N>       dispatch attempts per unit before the whole
-                       submission fails (default 3)
-  --unit-timeout <S>   SIGKILL a worker stuck on one unit for S
-                       seconds (default: no timeout)
-  --kill-after <N>     fault injection: SIGKILL one busy worker once
-                       N units have completed (crash-recovery tests)
-  --max-submissions <N>  exit after answering N submissions
-                       (bounds server lifetime in tests)
-
-Submit options (portend submit):
-  --socket <path> | --port <N>   the server endpoint (required)
-  --status | --ping | --shutdown query or stop the server instead of
-                       submitting a campaign
-  --timeout <S>        connect retry budget in seconds (default 10);
-                       all analysis options above are accepted and
-                       travel in the submitted manifest
 
 Fuzzing options (portend fuzz):
   --budget <N>         programs to generate (default 200); with a
@@ -872,8 +831,8 @@ cmdFuzz(int argc, char **argv)
             static_cast<unsigned long long>(
                 m.counter(obs::Counter::SolverQueries)));
     }
-    const int obs_rc = writeObsOutputs(obs.trace_out, obs.metrics_out,
-                                       obs::MetricsShard{});
+    const int obs_rc =
+        writeObsOutputs(obs.trace_out, obs.metrics_out, res.metrics);
     std::fprintf(stderr, "wall-clock: %.2fs (%d jobs)\n", res.seconds,
                  ThreadPool::resolveJobs(fo.jobs));
     if (obs_rc != 0)
@@ -907,7 +866,7 @@ cmdCorpusRun(const std::string &dir, fuzz::OracleOptions opts,
                         o.detail.c_str());
     }
     std::printf("corpus: %d/%d green\n", res.passed, res.total);
-    obs::MetricsShard corpus_shard;
+    obs::MetricsShard corpus_shard = res.metrics;
     corpus_shard.add(obs::Counter::CorpusEntries,
                      static_cast<std::uint64_t>(res.total));
     corpus_shard.add(obs::Counter::CorpusPassed,
@@ -971,183 +930,6 @@ applyDispatchFlag(int &argc, char **argv)
     argc -= 2;
 }
 
-// ---------------------------------------------------------------------------
-// serve / submit: the multi-process sharded triage server
-// ---------------------------------------------------------------------------
-
-serve::Server *g_serve_server = nullptr;
-
-extern "C" void
-serveSignalHandler(int)
-{
-    if (g_serve_server)
-        g_serve_server->stop();
-}
-
-int
-cmdServe(int argc, char **argv)
-{
-    if (argc < 3 || argv[2][0] == '-')
-        usageError("serve needs a state directory");
-    serve::ServeOptions so;
-    so.dir = argv[2];
-    bool endpoint_given = false;
-    ObsFlags obs_flags;
-    for (int i = 3; i < argc; ++i) {
-        if (parseObsFlag(argc, argv, i, &obs_flags, false))
-            continue;
-        std::string a = argv[i];
-        const char *next = i + 1 < argc ? argv[i + 1] : nullptr;
-        if (a == "--workers") {
-            so.workers = parseCount("--workers", next, 1);
-            ++i;
-        } else if (a == "--socket") {
-            if (!next)
-                usageError("--socket needs a path");
-            so.socket_path = next;
-            endpoint_given = true;
-            ++i;
-        } else if (a == "--port") {
-            so.port = parseCount("--port", next, 0);
-            if (so.port > 65535)
-                usageError("--port must be <= 65535");
-            endpoint_given = true;
-            ++i;
-        } else if (a == "--max-restarts") {
-            so.max_worker_restarts =
-                parseCount("--max-restarts", next, 0);
-            ++i;
-        } else if (a == "--attempts") {
-            so.max_unit_attempts = parseCount("--attempts", next, 1);
-            ++i;
-        } else if (a == "--unit-timeout") {
-            so.unit_timeout_seconds = static_cast<double>(
-                parseCount("--unit-timeout", next, 1));
-            ++i;
-        } else if (a == "--kill-after") {
-            so.kill_worker_after =
-                parseCount("--kill-after", next, 0);
-            ++i;
-        } else if (a == "--max-submissions") {
-            so.max_submissions =
-                parseCount("--max-submissions", next, 1);
-            ++i;
-        } else {
-            usageError("unknown serve option: " + a);
-        }
-    }
-    if (!endpoint_given)
-        usageError("serve needs --socket <path> or --port <N>");
-    if (!so.socket_path.empty() && so.port != 0)
-        usageError("--socket and --port are mutually exclusive");
-
-    installObsSinks(obs_flags.trace_out, obs_flags.metrics_out,
-                    obs_flags.progress_jsonl, false);
-    serve::Server server(so);
-    std::string err;
-    if (!server.start(&err)) {
-        std::fprintf(stderr, "portend: %s\n", err.c_str());
-        return 1;
-    }
-    // Announce the endpoint on stdout so scripts (and the CI smoke)
-    // can scrape it, then serve until a shutdown request or signal.
-    if (!so.socket_path.empty())
-        std::printf("serving on %s\n", so.socket_path.c_str());
-    else
-        std::printf("serving on port %d\n", server.boundPort());
-    std::fflush(stdout);
-    g_serve_server = &server;
-    std::signal(SIGINT, serveSignalHandler);
-    std::signal(SIGTERM, serveSignalHandler);
-    const int rc = server.loop();
-    std::signal(SIGINT, SIG_DFL);
-    std::signal(SIGTERM, SIG_DFL);
-    g_serve_server = nullptr;
-    const int obs_rc =
-        writeObsOutputs(obs_flags.trace_out, obs_flags.metrics_out,
-                        obs::MetricsShard{});
-    return rc != 0 ? rc : obs_rc;
-}
-
-int
-cmdSubmit(int argc, char **argv)
-{
-    serve::Endpoint ep;
-    enum class Action { Submit, Status, Shutdown, Ping };
-    Action action = Action::Submit;
-    // Peel endpoint/action flags; everything else is a standard
-    // analysis flag and goes into the submitted manifest.
-    std::vector<char *> rest;
-    rest.push_back(argv[0]);
-    for (int i = 2; i < argc; ++i) {
-        std::string a = argv[i];
-        const char *next = i + 1 < argc ? argv[i + 1] : nullptr;
-        if (a == "--socket") {
-            if (!next)
-                usageError("--socket needs a path");
-            ep.socket_path = next;
-            ++i;
-        } else if (a == "--port") {
-            ep.port = parseCount("--port", next, 1);
-            if (ep.port > 65535)
-                usageError("--port must be <= 65535");
-            ++i;
-        } else if (a == "--timeout") {
-            ep.connect_timeout_seconds = static_cast<double>(
-                parseCount("--timeout", next, 1));
-            ++i;
-        } else if (a == "--status") {
-            action = Action::Status;
-        } else if (a == "--shutdown") {
-            action = Action::Shutdown;
-        } else if (a == "--ping") {
-            action = Action::Ping;
-        } else {
-            rest.push_back(argv[i]);
-        }
-    }
-    if (ep.socket_path.empty() && ep.port == 0)
-        usageError("submit needs --socket <path> or --port <N>");
-
-    std::string err;
-    if (action == Action::Status) {
-        std::string json;
-        if (!serve::requestStatus(ep, &json, &err)) {
-            std::fprintf(stderr, "portend: %s\n", err.c_str());
-            return 1;
-        }
-        std::printf("%s\n", json.c_str());
-        return 0;
-    }
-    if (action == Action::Shutdown) {
-        if (!serve::requestShutdown(ep, &err)) {
-            std::fprintf(stderr, "portend: %s\n", err.c_str());
-            return 1;
-        }
-        return 0;
-    }
-    if (action == Action::Ping) {
-        if (!serve::ping(ep, &err)) {
-            std::fprintf(stderr, "portend: %s\n", err.c_str());
-            return 1;
-        }
-        std::printf("pong\n");
-        return 0;
-    }
-
-    CliOptions cli = parseOptions(static_cast<int>(rest.size()),
-                                  rest.data(), 1);
-    const std::string manifest =
-        campaign::manifestText(campaignConfigOf(cli, true));
-    std::string out;
-    if (!serve::submit(ep, manifest, &out, &err)) {
-        std::fprintf(stderr, "portend: %s\n", err.c_str());
-        return 1;
-    }
-    std::fputs(out.c_str(), stdout);
-    return 0;
-}
-
 } // namespace
 
 int
@@ -1188,10 +970,6 @@ main(int argc, char **argv)
     }
     if (cmd == "campaign")
         return cmdCampaign(argc, argv);
-    if (cmd == "serve")
-        return cmdServe(argc, argv);
-    if (cmd == "submit")
-        return cmdSubmit(argc, argv);
     if (cmd == "fuzz")
         return cmdFuzz(argc, argv);
     if (cmd == "corpus") {
