@@ -39,27 +39,6 @@ namespace portend::rt {
 class Interpreter;
 
 /**
- * Instruction dispatch strategy of the step loop. Threaded dispatch
- * (computed goto, a GNU extension) is the fast path; Switch is the
- * portable fallback; Auto resolves to the process-wide default (see
- * setDefaultDispatchMode), which is Threaded when available.
- */
-enum class DispatchMode : std::uint8_t { Auto, Switch, Threaded };
-
-/** True when this build can execute with threaded dispatch. */
-bool threadedDispatchAvailable();
-
-/** Set the process-wide dispatch default that Auto resolves to
- *  (CLI --dispatch; differential tests flip it per run). */
-void setDefaultDispatchMode(DispatchMode m);
-
-/** The current process-wide dispatch default. */
-DispatchMode defaultDispatchMode();
-
-/** Printable mode name ("threaded" / "switch" / "auto"). */
-const char *dispatchModeName(DispatchMode m);
-
-/**
  * Process-wide switch for the cycle test of Interpreter::run (on by
  * default). Differential tests turn it off to run every spin to its
  * full budget and compare.
@@ -185,9 +164,6 @@ struct ExecOptions
 
     /** Ring size of per-thread recent reads (spin diagnosis). */
     int spin_window = 64;
-
-    /** Step-loop dispatch strategy (Auto = process default). */
-    DispatchMode dispatch = DispatchMode::Auto;
 };
 
 /**
@@ -325,11 +301,6 @@ class Interpreter
     /** Number of decoded instruction sites (stats ledger). */
     int decodedSites() const { return dec->num_insts; }
 
-    /** The dispatch mode this interpreter executes with. */
-    DispatchMode dispatchMode() const
-    { return use_threaded ? DispatchMode::Threaded
-                          : DispatchMode::Switch; }
-
     /** The execution options. */
     const ExecOptions &options() const { return opts; }
     ExecOptions &options() { return opts; }
@@ -353,12 +324,9 @@ class Interpreter
         StopEvent,  ///< the after_event predicate fired
     };
 
-    /** Run thread @p tid until its segment ends (switch dispatch). */
-    SegExit segmentSwitch(ThreadId tid, bool first);
-
-    /** Run thread @p tid until its segment ends (threaded dispatch;
-     *  compiled only when the GNU computed-goto extension exists). */
-    SegExit segmentThreaded(ThreadId tid, bool first);
+    /** Run thread @p tid until its segment ends (computed-goto
+     *  dispatch, one label per opcode). */
+    SegExit segment(ThreadId tid, bool first);
 
     /** Decoded next instruction of thread @p t. */
     const DecodedInst &
@@ -437,7 +405,6 @@ class Interpreter
     std::shared_ptr<const DecodedProgram> dec;
     ExecOptions opts;
     VmState st;
-    bool use_threaded = false;
 
     SchedulePolicy *policy = nullptr;
     FifoPolicy default_policy;

@@ -27,6 +27,8 @@ set(bad_cases
     "campaign run ignored --abort-after -1"
     "fuzz --budget -5"
     "fuzz --fuzz-seed -2"
+    # A removed flag from a stale script must fail, not run quietly.
+    "--dispatch switch classify avv"
     )
 
 foreach(case IN LISTS bad_cases)

@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <string>
+#include <tuple>
+
+#include "fuzz/generator.h"
 #include "ir/builder.h"
 #include "rt/interpreter.h"
 #include "rt/staticinfo.h"
+#include "workloads/registry.h"
 
 namespace portend::rt {
 namespace {
@@ -310,6 +316,104 @@ TEST_P(DeterminismTest, SameSeedSameRun)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DeterminismTest,
                          ::testing::Range(0, 6));
+
+/** The fields of an event that sinks observe. */
+auto
+eventKey(const Event &e)
+{
+    return std::tuple(e.kind, e.tid, e.pc, e.step, e.cell, e.atomic,
+                      e.occurrence, e.cell_occurrence, e.sid, e.other);
+}
+
+/** Queues every event an immediate() sink receives. */
+class ImmediateQueue : public EventSink
+{
+  public:
+    void onEvent(const Event &ev) override { pending.push_back(ev); }
+    bool immediate() const override { return true; }
+
+    std::deque<Event> pending;
+};
+
+/**
+ * Matches each batched event against the oldest queued immediate
+ * one. publish() hands an event to immediate sinks before it is
+ * buffered, so a faithful batch never runs ahead of the queue.
+ */
+class BatchedMatcher : public EventSink
+{
+  public:
+    explicit BatchedMatcher(ImmediateQueue &q) : q(q) {}
+
+    void
+    onEvent(const Event &ev) override
+    {
+        if (q.pending.empty()) {
+            mismatches += 1;
+        } else {
+            if (eventKey(q.pending.front()) != eventKey(ev))
+                mismatches += 1;
+            q.pending.pop_front();
+        }
+        seen += 1;
+    }
+
+    std::uint64_t seen = 0;
+    std::uint64_t mismatches = 0;
+
+  private:
+    ImmediateQueue &q;
+};
+
+/**
+ * Event batching is an ordering-preserving buffer: a batched sink and
+ * an immediate() sink attached to the same run see the same stream,
+ * under FIFO and under a random schedule.
+ */
+void
+expectBatchedMatchesImmediate(const ir::Program &p,
+                              const std::string &what)
+{
+    for (bool random : {false, true}) {
+        SCOPED_TRACE(what + (random ? " [random policy]" : " [fifo]"));
+        ExecOptions eo;
+        eo.preempt_on_memory = true;
+        eo.rng_seed = 7;
+        Interpreter interp(p, eo);
+        ImmediateQueue immediate;
+        BatchedMatcher batched(immediate);
+        interp.addSink(&batched);
+        interp.addSink(&immediate);
+        RandomPolicy rnd;
+        if (random)
+            interp.setPolicy(&rnd);
+        interp.run();
+        EXPECT_GT(batched.seen, 0u);
+        EXPECT_EQ(batched.mismatches, 0u);
+        EXPECT_TRUE(immediate.pending.empty());
+    }
+}
+
+TEST(EventBatchingTest, WorkloadStreamsMatchImmediateSinks)
+{
+    for (const std::string &name : workloads::workloadNames())
+        expectBatchedMatchesImmediate(
+            workloads::buildWorkload(name).program, name);
+    for (const std::string &name : workloads::extensionWorkloadNames())
+        expectBatchedMatchesImmediate(
+            workloads::buildWorkload(name).program, name);
+}
+
+TEST(EventBatchingTest, FuzzedStreamsMatchImmediateSinks)
+{
+    fuzz::GeneratorOptions opts;
+    for (std::uint64_t i = 0; i < 12; ++i) {
+        auto gen = fuzz::generateProgram(42, i, opts);
+        if (!gen.verify_errors.empty())
+            continue;
+        expectBatchedMatchesImmediate(gen.program, gen.recipe.name);
+    }
+}
 
 } // namespace
 } // namespace portend::rt
