@@ -7,10 +7,20 @@
  * nullopt/error — never crash, never OOM, never yield a program that
  * is unsafe to execute. A deterministic mutation fuzz over valid
  * serializations backstops the hand-written cases.
+ *
+ * The PIL codec sweep pins the text format itself: every shipped and
+ * generated program round-trips byte for byte, and a fixed set of
+ * token-shape mutants (whitespace, line ends, integer spellings,
+ * operands, quoting) keeps its recorded accept/reject outcome and,
+ * when accepted, its re-serialized bytes.
  */
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
+
+#include "fuzz/corpus.h"
 #include "fuzz/generator.h"
 #include "ir/serialize.h"
 #include "ir/verifier.h"
@@ -203,6 +213,219 @@ TEST(ProgramParserRobustness, SurvivesDeterministicMutationFuzz)
             EXPECT_FALSE(error.empty());
         }
     }
+}
+
+// -- PIL codec sweep --------------------------------------------------
+
+/** Parse @p text, serialize the result, expect the same bytes. */
+void
+expectIdentityRoundTrip(const std::string &text, const std::string &what)
+{
+    std::string error;
+    std::optional<ir::Program> p = ir::deserializeProgram(text, &error);
+    ASSERT_TRUE(p.has_value()) << what << ": " << error;
+    EXPECT_EQ(ir::serializeProgram(*p), text) << what;
+}
+
+TEST(PilCodecSweep, EveryShippedAndGeneratedProgramRoundTrips)
+{
+    std::vector<std::string> names = workloads::workloadNames();
+    for (const std::string &n : workloads::extensionWorkloadNames())
+        names.push_back(n);
+    for (const std::string &n : names)
+        expectIdentityRoundTrip(
+            ir::serializeProgram(workloads::buildWorkload(n).program), n);
+
+    const std::string dir = PORTEND_CORPUS_SEED_DIR;
+    const std::vector<std::string> entries = fuzz::listEntries(dir);
+    EXPECT_EQ(entries.size(), 16u) << dir;
+    for (const std::string &e : entries) {
+        std::ifstream in(dir + "/" + e + "/program.pil",
+                         std::ios::binary);
+        ASSERT_TRUE(in) << e;
+        std::ostringstream text;
+        text << in.rdbuf();
+        expectIdentityRoundTrip(text.str(), e);
+    }
+
+    int generated = 0;
+    for (std::uint64_t i = 0; i < 200; ++i) {
+        fuzz::GeneratedProgram g =
+            fuzz::generateProgram(42, i, fuzz::GeneratorOptions{});
+        if (!g.verify_errors.empty())
+            continue; // the parser rightly rejects these
+        expectIdentityRoundTrip(ir::serializeProgram(g.program),
+                                g.recipe.name);
+        generated += 1;
+    }
+    EXPECT_GT(generated, 190);
+}
+
+/** A small verifier-clean program using every PIL line kind. */
+const char *const kCodecBase =
+    "pil v1 \"codec\"\n"
+    "global \"g\" 2 5 -3\n"
+    "mutex \"m\"\n"
+    "cond \"c\"\n"
+    "barrier \"b\" 2\n"
+    "input \"n\" 0 4\n"
+    "func \"main\" 0 3\n"
+    "block \"entry\"\n"
+    "inst const 1 i7 _ _ add 64 -1 -1 -1 -1 -1 -1 0 0 \"\" \"codec.c\" 1\n"
+    "inst mov 2 r1 _ _ add 64 -1 -1 -1 -1 -1 -1 0 0 \"\" \"codec.c\" 2\n"
+    "inst store -1 i0 r2 _ add 64 0 -1 -1 -1 -1 -1 0 0 \"\" \"codec.c\" 3\n"
+    "inst output_str -1 _ _ _ add 64 -1 -1 -1 -1 -1 -1 0 0 \"hi\" "
+    "\"codec.c\" 4\n"
+    "inst ret -1 _ _ _ add 64 -1 -1 -1 -1 -1 -1 0 0 \"\" \"codec.c\" 5\n"
+    "end\n";
+
+/** @p s with every occurrence of @p from replaced by @p to. */
+std::string
+replaceAll(std::string s, const std::string &from, const std::string &to)
+{
+    for (std::size_t at = s.find(from); at != std::string::npos;
+         at = s.find(from, at + to.size()))
+        s.replace(at, from.size(), to);
+    return s;
+}
+
+/** @p s with the first occurrence of @p from replaced by @p to. */
+std::string
+replaceFirst(std::string s, const std::string &from, const std::string &to)
+{
+    const std::size_t at = s.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    if (at != std::string::npos)
+        s.replace(at, from.size(), to);
+    return s;
+}
+
+/**
+ * kCodecBase with its first `from` replaced by `to`. A mutant with a
+ * null `canonical` is rejected; otherwise it parses, and serializing
+ * the result gives kCodecBase with `from` replaced by `canonical`.
+ */
+struct TokenMutant
+{
+    const char *what;
+    const char *from;
+    const char *to;
+    const char *canonical;
+};
+
+const TokenMutant kTokenMutants[] = {
+    // Whitespace between tokens: any run of ' ', \t, \v, \f, \r.
+    {"space runs", "global \"g\" 2 5 -3", "global  \"g\"   2 5    -3",
+     "global \"g\" 2 5 -3"},
+    {"tab runs", "inst store -1 i0", "inst\tstore\t-1 \t i0",
+     "inst store -1 i0"},
+    {"vertical tab and form feed", "cond \"c\"", "cond\v\f\"c\"",
+     "cond \"c\""},
+    {"leading whitespace", "mutex \"m\"", " \t mutex \"m\"",
+     "mutex \"m\""},
+    {"trailing whitespace", "end\n", "end \t\n", "end\n"},
+    {"blank lines", "mutex", "\n\nmutex", "mutex"},
+    {"line of spaces", "mutex", "  \nmutex", nullptr},
+    {"line holding only \\r", "mutex", "\r\nmutex", nullptr},
+    {"\\r-only line after end", "end\n", "end\n\r\n", nullptr},
+
+    // Integers: optional sign, decimal digits, range-checked.
+    {"leading + on int", "barrier \"b\" 2", "barrier \"b\" +2",
+     "barrier \"b\" 2"},
+    {"leading + on int64", "2 5 -3", "2 +5 -3", "2 5 -3"},
+    {"leading zeros", "\"main\" 0 3", "\"main\" 00 003",
+     "\"main\" 0 3"},
+    {"negative leading zeros", "5 -3", "5 -003", "5 -3"},
+    {"+- sign", "5 -3", "5 +-3", nullptr},
+    {"bare sign", "5 -3", "5 - -3", nullptr},
+    {"bare sign ending a line", "5 -3", "5 -", "5"},
+    {"INT64 max and min init", "2 5 -3",
+     "2 9223372036854775807 -9223372036854775808",
+     "2 9223372036854775807 -9223372036854775808"},
+    {"INT64 min and max input", "\"n\" 0 4",
+     "\"n\" -9223372036854775808 9223372036854775807",
+     "\"n\" -9223372036854775808 9223372036854775807"},
+    {"INT64 min and max inst bounds", "-1 -1 0 0 \"hi\"",
+     "-1 -1 -9223372036854775808 9223372036854775807 \"hi\"",
+     "-1 -1 -9223372036854775808 9223372036854775807 \"hi\""},
+    {"int64 above max", "2 5 -3", "2 9223372036854775808 -3", nullptr},
+    {"int64 below min", "2 5 -3", "2 -9223372036854775809 -3", nullptr},
+    {"int64 below min ending a line", "2 5 -3",
+     "2 5 -9223372036854775809", "2 5"},
+    {"int above max", "barrier \"b\" 2", "barrier \"b\" 2147483648",
+     nullptr},
+    {"int line above max", "\"codec.c\" 5", "\"codec.c\" 4294967301",
+     nullptr},
+    {"int dst below min", "inst ret -1", "inst ret -2147483649", nullptr},
+
+    // Operands.
+    {"operand r+1", "i0 r2", "i0 r+2", "i0 r2"},
+    {"operand i007", "i7", "i007", "i7"},
+    {"operand INT64 min", "i7", "i-9223372036854775808",
+     "i-9223372036854775808"},
+    {"operand int64 above max", "i7", "i9223372036854775808", nullptr},
+    {"operand int above max", "i0 r2", "i0 r2147483648", nullptr},
+    {"operand r1x", "mov 2 r1", "mov 2 r1x", "mov 2 r1"},
+    {"operand i7q", "i7", "i7q", "i7"},
+    {"operand without digits", "i7", "i", nullptr},
+
+    // Glued tokens.
+    {"number glued to next token", "mov 2 r1", "mov 2r1", "mov 2 r1"},
+    {"number glued to a quote", "0 0 \"hi\"", "0 0\"hi\"", "0 0 \"hi\""},
+
+    // Quoted strings.
+    {"escaped quote and backslash", "\"codec\"",
+     "\"co\\\"d\\\\ec\"", "\"co\\\"d\\\\ec\""},
+    {"escaped quote before a space", "\"m\"", "\"a\\\" b\"",
+     "\"a\\\" b\""},
+    {"empty name", "\"m\"", "\"\"", "\"\""},
+    {"unescaped quote inside a name", "\"codec\"", "\"co\"dec\"",
+     "\"co\\\"dec\""},
+    {"missing closing quote at line end", "mutex \"m\"", "mutex \"m",
+     nullptr},
+    {"missing closing quote mid-line", "\"hi\"", "\"hi", nullptr},
+    {"escaped closing quote", "mutex \"m\"", "mutex \"m\\\"", nullptr},
+    {"name without quotes", "mutex \"m\"", "mutex m", nullptr},
+
+    // Trailing tokens.
+    {"trailing token after inst", "\"codec.c\" 5", "\"codec.c\" 5 x",
+     nullptr},
+    {"trailing token after input", "\"n\" 0 4", "\"n\" 0 4 9", nullptr},
+    {"trailing token after global", "2 5 -3", "2 5 -3 x", nullptr},
+    {"trailing token after mutex", "mutex \"m\"", "mutex \"m\" x",
+     "mutex \"m\""},
+    {"trailing token after header", "\"codec\"\n", "\"codec\" x\n",
+     "\"codec\"\n"},
+    {"trailing token after end", "end\n", "end x\n", "end\n"},
+};
+
+TEST(PilCodecSweep, TokenShapeMutantsKeepTheirOutcome)
+{
+    expectIdentityRoundTrip(kCodecBase, "base");
+    for (const TokenMutant &m : kTokenMutants) {
+        const std::string text = replaceFirst(kCodecBase, m.from, m.to);
+        std::string error;
+        std::optional<ir::Program> p =
+            ir::deserializeProgram(text, &error);
+        if (m.canonical == nullptr) {
+            EXPECT_FALSE(p.has_value()) << m.what << " was accepted";
+            EXPECT_FALSE(error.empty()) << m.what;
+            continue;
+        }
+        ASSERT_TRUE(p.has_value()) << m.what << ": " << error;
+        EXPECT_EQ(ir::serializeProgram(*p),
+                  replaceFirst(kCodecBase, m.from, m.canonical))
+            << m.what;
+    }
+}
+
+TEST(PilCodecSweep, CrlfLineEndsParseLikeLf)
+{
+    const std::string crlf = replaceAll(kCodecBase, "\n", "\r\n");
+    std::string error;
+    std::optional<ir::Program> p = ir::deserializeProgram(crlf, &error);
+    ASSERT_TRUE(p.has_value()) << error;
+    EXPECT_EQ(ir::serializeProgram(*p), kCodecBase);
 }
 
 TEST(TraceParserRobustness, RejectsMalformedTraces)
