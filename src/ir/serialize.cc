@@ -1,8 +1,9 @@
 #include "ir/serialize.h"
 
+#include <charconv>
 #include <map>
 #include <set>
-#include <sstream>
+#include <string_view>
 
 #include "ir/verifier.h"
 
@@ -11,10 +12,10 @@ namespace portend::ir {
 namespace {
 
 /** Opcode <-> mnemonic table (mnemonics from opName). */
-std::map<std::string, Op>
+std::map<std::string, Op, std::less<>>
 opTable()
 {
-    std::map<std::string, Op> t;
+    std::map<std::string, Op, std::less<>> t;
     for (int i = 0; i <= static_cast<int>(Op::Assert); ++i) {
         Op op = static_cast<Op>(i);
         t[opName(op)] = op;
@@ -22,10 +23,10 @@ opTable()
     return t;
 }
 
-std::map<std::string, sym::ExprKind>
+std::map<std::string, sym::ExprKind, std::less<>>
 kindTable()
 {
-    std::map<std::string, sym::ExprKind> t;
+    std::map<std::string, sym::ExprKind, std::less<>> t;
     for (int i = 0; i <= static_cast<int>(sym::ExprKind::Ite); ++i) {
         sym::ExprKind k = static_cast<sym::ExprKind>(i);
         t[sym::kindName(k)] = k;
@@ -33,18 +34,86 @@ kindTable()
     return t;
 }
 
-std::string
-operandToken(const Operand &o)
+// -- Writing ---------------------------------------------------------
+
+/** Append @p v in decimal. */
+void
+appendInt(std::string &out, std::int64_t v)
 {
-    if (o.isReg())
-        return "r" + std::to_string(o.reg);
-    if (o.isImm())
-        return "i" + std::to_string(o.imm);
-    return "_";
+    char buf[24];
+    const std::to_chars_result r =
+        std::to_chars(buf, buf + sizeof buf, v);
+    out.append(buf, r.ptr);
+}
+
+/** Append " <v>". */
+void
+putInt(std::string &out, std::int64_t v)
+{
+    out += ' ';
+    appendInt(out, v);
+}
+
+/** Append " <o>": r<N>, i<V>, or _. */
+void
+putOperand(std::string &out, const Operand &o)
+{
+    if (o.isReg()) {
+        out += " r";
+        appendInt(out, o.reg);
+    } else if (o.isImm()) {
+        out += " i";
+        appendInt(out, o.imm);
+    } else {
+        out += " _";
+    }
+}
+
+/** Append " \"<s>\"" with quotes and backslashes escaped. */
+void
+putQuoted(std::string &out, const std::string &s)
+{
+    out += " \"";
+    for (char c : s) {
+        if (c == '"' || c == '\\')
+            out += '\\';
+        out += c;
+    }
+    out += '"';
+}
+
+// -- Reading ---------------------------------------------------------
+
+/** Whitespace between tokens: what operator>> skips in the C locale. */
+bool
+isSpace(char c)
+{
+    return c == ' ' || c == '\t' || c == '\r' || c == '\v' ||
+           c == '\f' || c == '\n';
+}
+
+/**
+ * A whole-token integer: an optional '+' or '-', then decimal digits,
+ * in range for @p T. Anything else in the token rejects it.
+ */
+template <typename T>
+bool
+parseInt(std::string_view tok, T &out)
+{
+    // from_chars takes a '-' but not a '+'.
+    if (!tok.empty() && tok[0] == '+') {
+        tok.remove_prefix(1);
+        if (!tok.empty() && tok[0] == '-')
+            return false;
+    }
+    const char *end = tok.data() + tok.size();
+    const std::from_chars_result r =
+        std::from_chars(tok.data(), end, out);
+    return r.ec == std::errc() && r.ptr == end;
 }
 
 bool
-parseOperand(const std::string &tok, Operand &out)
+parseOperand(std::string_view tok, Operand &out)
 {
     if (tok == "_") {
         out = Operand();
@@ -52,67 +121,96 @@ parseOperand(const std::string &tok, Operand &out)
     }
     if (tok.size() < 2)
         return false;
-    try {
-        if (tok[0] == 'r') {
-            out = Operand::r(std::stoi(tok.substr(1)));
-            return true;
-        }
-        if (tok[0] == 'i') {
-            out = Operand::i(std::stoll(tok.substr(1)));
-            return true;
-        }
-    } catch (const std::exception &) {
-        return false;
+    if (tok[0] == 'r') {
+        Reg r = 0;
+        if (!parseInt(tok.substr(1), r))
+            return false;
+        out = Operand::r(r);
+        return true;
+    }
+    if (tok[0] == 'i') {
+        std::int64_t v = 0;
+        if (!parseInt(tok.substr(1), v))
+            return false;
+        out = Operand::i(v);
+        return true;
     }
     return false;
 }
 
-/** Quote a string token (spaces and backslashes escaped). */
-std::string
-quote(const std::string &s)
+/** Cursor over the tokens of one line. */
+class LineReader
 {
-    std::string out = "\"";
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        out += c;
-    }
-    return out + "\"";
-}
+  public:
+    explicit LineReader(std::string_view line) : rest_(line) {}
 
-/** Read a quoted token from the stream. */
-bool
-unquote(std::istringstream &is, std::string &out)
-{
-    std::string raw;
-    if (!(is >> raw) || raw.empty() || raw[0] != '"')
-        return false;
-    // Re-join tokens until the closing unescaped quote.
-    std::string acc = raw.substr(1);
-    while (true) {
-        // Count trailing backslashes before a final quote.
-        if (!acc.empty() && acc.back() == '"') {
-            std::size_t bs = 0;
-            while (bs + 1 < acc.size() &&
-                   acc[acc.size() - 2 - bs] == '\\') {
-                bs += 1;
-            }
-            if (bs % 2 == 0) {
-                acc.pop_back();
-                break;
-            }
-        }
-        std::string more;
-        if (!(is >> more))
+    /** The next whitespace-delimited token; empty at end of line. */
+    std::string_view
+    token()
+    {
+        skipSpace();
+        std::size_t n = 0;
+        while (n < rest_.size() && !isSpace(rest_[n]))
+            n += 1;
+        const std::string_view tok = rest_.substr(0, n);
+        rest_.remove_prefix(n);
+        return tok;
+    }
+
+    /** The next token as a whole-token integer (see parseInt). */
+    template <typename T>
+    bool
+    integer(T &out)
+    {
+        return parseInt(token(), out);
+    }
+
+    /**
+     * The next token as a quoted string: '"', then any bytes with
+     * '\\' escaping the byte after it, then '"' ending the token.
+     * The bytes between the quotes are kept exactly, whitespace
+     * included.
+     */
+    bool
+    quoted(std::string &out)
+    {
+        skipSpace();
+        if (rest_.empty() || rest_[0] != '"')
             return false;
-        acc += " " + more;
+        out.clear();
+        std::size_t i = 1;
+        for (; i < rest_.size() && rest_[i] != '"'; ++i) {
+            if (rest_[i] == '\\' && i + 1 < rest_.size())
+                i += 1;
+            out += rest_[i];
+        }
+        if (i == rest_.size())
+            return false; // no closing quote
+        rest_.remove_prefix(i + 1);
+        return rest_.empty() || isSpace(rest_[0]);
     }
-    out.clear();
-    for (std::size_t i = 0; i < acc.size(); ++i) {
-        if (acc[i] == '\\' && i + 1 < acc.size())
-            i += 1;
-        out += acc[i];
+
+  private:
+    void
+    skipSpace()
+    {
+        while (!rest_.empty() && isSpace(rest_[0]))
+            rest_.remove_prefix(1);
     }
+
+    std::string_view rest_;
+};
+
+/** Split off the next '\n'-terminated line; false at end of text. */
+bool
+nextLine(std::string_view &rest, std::string_view &line)
+{
+    if (rest.empty())
+        return false;
+    const std::size_t nl = rest.find('\n');
+    line = rest.substr(0, nl);
+    rest.remove_prefix(nl == std::string_view::npos ? rest.size()
+                                                    : nl + 1);
     return true;
 }
 
@@ -121,51 +219,87 @@ unquote(std::istringstream &is, std::string &out)
 std::string
 serializeProgram(const Program &p)
 {
-    std::ostringstream os;
-    os << "pil v1 " << quote(p.name) << "\n";
+    std::size_t insts = 0;
+    for (const auto &f : p.functions)
+        for (const auto &b : f.blocks)
+            insts += b.insts.size();
+    std::string out;
+    out.reserve(256 + 96 * insts);
+
+    out += "pil v1";
+    putQuoted(out, p.name);
+    out += '\n';
     for (const auto &g : p.globals) {
-        os << "global " << quote(g.name) << " " << g.size;
+        out += "global";
+        putQuoted(out, g.name);
+        putInt(out, g.size);
         for (std::int64_t v : g.init)
-            os << " " << v;
-        os << "\n";
+            putInt(out, v);
+        out += '\n';
     }
-    for (const auto &m : p.mutex_names)
-        os << "mutex " << quote(m) << "\n";
-    for (const auto &c : p.cond_names)
-        os << "cond " << quote(c) << "\n";
+    for (const auto &m : p.mutex_names) {
+        out += "mutex";
+        putQuoted(out, m);
+        out += '\n';
+    }
+    for (const auto &c : p.cond_names) {
+        out += "cond";
+        putQuoted(out, c);
+        out += '\n';
+    }
     for (std::size_t i = 0; i < p.barrier_names.size(); ++i) {
-        os << "barrier " << quote(p.barrier_names[i]) << " "
-           << p.barrier_counts[i] << "\n";
+        out += "barrier";
+        putQuoted(out, p.barrier_names[i]);
+        putInt(out, p.barrier_counts[i]);
+        out += '\n';
     }
     // Input declarations are emitted only when present so programs
     // without them serialize byte-identically to the pre-declaration
     // format (on-disk corpus compatibility).
     for (const auto &d : p.inputs) {
-        os << "input " << quote(d.name) << " " << d.lo << " " << d.hi
-           << "\n";
+        out += "input";
+        putQuoted(out, d.name);
+        putInt(out, d.lo);
+        putInt(out, d.hi);
+        out += '\n';
     }
     for (const auto &f : p.functions) {
-        os << "func " << quote(f.name) << " " << f.num_params << " "
-           << f.num_regs << "\n";
+        out += "func";
+        putQuoted(out, f.name);
+        putInt(out, f.num_params);
+        putInt(out, f.num_regs);
+        out += '\n';
         for (const auto &b : f.blocks) {
-            os << "block " << quote(b.name) << "\n";
+            out += "block";
+            putQuoted(out, b.name);
+            out += '\n';
             for (const auto &inst : b.insts) {
-                os << "inst " << opName(inst.op) << " " << inst.dst
-                   << " " << operandToken(inst.a) << " "
-                   << operandToken(inst.b) << " "
-                   << operandToken(inst.c) << " "
-                   << sym::kindName(inst.kind) << " "
-                   << widthBits(inst.width) << " " << inst.gid << " "
-                   << inst.sid << " " << inst.sid2 << " " << inst.fid
-                   << " " << inst.then_block << " " << inst.else_block
-                   << " " << inst.lo << " " << inst.hi << " "
-                   << quote(inst.text) << " " << quote(inst.loc.file)
-                   << " " << inst.loc.line << "\n";
+                out += "inst ";
+                out += opName(inst.op);
+                putInt(out, inst.dst);
+                putOperand(out, inst.a);
+                putOperand(out, inst.b);
+                putOperand(out, inst.c);
+                out += ' ';
+                out += sym::kindName(inst.kind);
+                putInt(out, widthBits(inst.width));
+                putInt(out, inst.gid);
+                putInt(out, inst.sid);
+                putInt(out, inst.sid2);
+                putInt(out, inst.fid);
+                putInt(out, inst.then_block);
+                putInt(out, inst.else_block);
+                putInt(out, inst.lo);
+                putInt(out, inst.hi);
+                putQuoted(out, inst.text);
+                putQuoted(out, inst.loc.file);
+                putInt(out, inst.loc.line);
+                out += '\n';
             }
         }
     }
-    os << "end\n";
-    return os.str();
+    out += "end\n";
+    return out;
 }
 
 std::optional<Program>
@@ -177,9 +311,8 @@ deserializeProgram(const std::string &text, std::string *error)
         return std::nullopt;
     };
 
-    static const std::map<std::string, Op> ops = opTable();
-    static const std::map<std::string, sym::ExprKind> kinds =
-        kindTable();
+    static const auto ops = opTable();
+    static const auto kinds = kindTable();
 
     // Hard bounds on declared sizes: malformed or adversarial input
     // (fuzzer-found cases) must fail cleanly, never OOM or crash.
@@ -194,136 +327,51 @@ deserializeProgram(const std::string &text, std::string *error)
     std::set<std::string> global_names, mutex_names, cond_names,
         barrier_names, func_names, input_names;
 
-    std::istringstream is(text);
-    std::string line;
+    std::string_view rest = text;
+    std::string_view line;
     int lineno = 0;
     bool saw_header = false;
     bool saw_end = false;
 
-    while (std::getline(is, line)) {
+    while (nextLine(rest, line)) {
         lineno += 1;
         if (line.empty())
             continue;
-        std::istringstream ls(line);
-        std::string tag;
-        ls >> tag;
+        LineReader lr(line);
+        const std::string_view tag = lr.token();
 
         auto where = [&] {
             return " (line " + std::to_string(lineno) + ")";
         };
 
         if (!saw_header && tag != "pil")
-            return fail("'" + tag + "' before 'pil v1' header" +
-                        where());
+            return fail("'" + std::string(tag) +
+                        "' before 'pil v1' header" + where());
 
-        if (tag == "pil") {
-            if (saw_header)
-                return fail("duplicate 'pil' header" + where());
-            std::string ver;
-            ls >> ver;
-            if (ver != "v1")
-                return fail("unsupported version" + where());
-            if (!unquote(ls, p.name))
-                return fail("bad program name" + where());
-            saw_header = true;
-        } else if (tag == "global") {
-            Global g;
-            if (!unquote(ls, g.name) || !(ls >> g.size))
-                return fail("bad global" + where());
-            if (g.size < 1 || g.size > kMaxGlobalSize)
-                return fail("global size out of range" + where());
-            if (!global_names.insert(g.name).second)
-                return fail("duplicate global '" + g.name + "'" +
-                            where());
-            std::int64_t v;
-            while (ls >> v)
-                g.init.push_back(v);
-            if (!ls.eof())
-                return fail("bad global init value" + where());
-            if (g.init.size() > static_cast<std::size_t>(g.size))
-                return fail("more init values than cells" + where());
-            p.globals.push_back(std::move(g));
-        } else if (tag == "mutex") {
-            std::string n;
-            if (!unquote(ls, n))
-                return fail("bad mutex" + where());
-            if (!mutex_names.insert(n).second)
-                return fail("duplicate mutex '" + n + "'" + where());
-            p.mutex_names.push_back(n);
-        } else if (tag == "cond") {
-            std::string n;
-            if (!unquote(ls, n))
-                return fail("bad cond" + where());
-            if (!cond_names.insert(n).second)
-                return fail("duplicate cond '" + n + "'" + where());
-            p.cond_names.push_back(n);
-        } else if (tag == "barrier") {
-            std::string n;
-            int count = 0;
-            if (!unquote(ls, n) || !(ls >> count))
-                return fail("bad barrier" + where());
-            if (count < 1 || count > kMaxBarrierCount)
-                return fail("barrier count out of range" + where());
-            if (!barrier_names.insert(n).second)
-                return fail("duplicate barrier '" + n + "'" +
-                            where());
-            p.barrier_names.push_back(n);
-            p.barrier_counts.push_back(count);
-        } else if (tag == "input") {
-            InputDecl d;
-            if (!unquote(ls, d.name) || !(ls >> d.lo) ||
-                !(ls >> d.hi)) {
-                return fail("bad input declaration" + where());
-            }
-            if (d.lo > d.hi)
-                return fail("input domain empty" + where());
-            if (!input_names.insert(d.name).second)
-                return fail("duplicate input '" + d.name + "'" +
-                            where());
-            std::string trailing;
-            if (ls >> trailing)
-                return fail("trailing tokens after input" + where());
-            p.inputs.push_back(std::move(d));
-        } else if (tag == "func") {
-            Function f;
-            if (!unquote(ls, f.name) || !(ls >> f.num_params) ||
-                !(ls >> f.num_regs)) {
-                return fail("bad func" + where());
-            }
-            if (f.num_params < 0 || f.num_regs < 0 ||
-                f.num_regs > kMaxRegs || f.num_params > f.num_regs) {
-                return fail("func register counts out of range" +
-                            where());
-            }
-            if (!func_names.insert(f.name).second)
-                return fail("duplicate func '" + f.name + "'" +
-                            where());
-            p.functions.push_back(std::move(f));
-            cur_func = &p.functions.back();
-            cur_block = nullptr;
-        } else if (tag == "block") {
-            if (!cur_func)
-                return fail("block outside func" + where());
-            BasicBlock b;
-            if (!unquote(ls, b.name))
-                return fail("bad block" + where());
-            cur_func->blocks.push_back(std::move(b));
-            cur_block = &cur_func->blocks.back();
-        } else if (tag == "inst") {
+        if (tag == "inst") {
             if (!cur_block)
                 return fail("inst outside block" + where());
-            Inst inst;
-            std::string opname, ta, tb, tc, kindname;
+            Inst &inst = cur_block->insts.emplace_back();
+            const std::string_view opname = lr.token();
+            const bool dst_ok = lr.integer(inst.dst);
+            const std::string_view ta = lr.token();
+            const std::string_view tb = lr.token();
+            const std::string_view tc = lr.token();
+            const std::string_view kindname = lr.token();
             int width_bits = 64;
-            if (!(ls >> opname >> inst.dst >> ta >> tb >> tc >>
-                  kindname >> width_bits >> inst.gid >> inst.sid >>
-                  inst.sid2 >> inst.fid >> inst.then_block >>
-                  inst.else_block >> inst.lo >> inst.hi)) {
+            if (opname.empty() || !dst_ok || ta.empty() || tb.empty() ||
+                tc.empty() || kindname.empty() ||
+                !lr.integer(width_bits) || !lr.integer(inst.gid) ||
+                !lr.integer(inst.sid) || !lr.integer(inst.sid2) ||
+                !lr.integer(inst.fid) || !lr.integer(inst.then_block) ||
+                !lr.integer(inst.else_block) || !lr.integer(inst.lo) ||
+                !lr.integer(inst.hi)) {
                 return fail("bad inst fields" + where());
             }
             auto oit = ops.find(opname);
             if (oit == ops.end())
-                return fail("unknown op '" + opname + "'" + where());
+                return fail("unknown op '" + std::string(opname) + "'" +
+                            where());
             inst.op = oit->second;
             if (!parseOperand(ta, inst.a) ||
                 !parseOperand(tb, inst.b) ||
@@ -344,20 +392,110 @@ deserializeProgram(const std::string &text, std::string *error)
             }
             if (inst.dst < -1)
                 return fail("bad dst register" + where());
-            if (!unquote(ls, inst.text) ||
-                !unquote(ls, inst.loc.file) ||
-                !(ls >> inst.loc.line)) {
+            if (!lr.quoted(inst.text) || !lr.quoted(inst.loc.file) ||
+                !lr.integer(inst.loc.line)) {
                 return fail("bad inst strings" + where());
             }
-            std::string trailing;
-            if (ls >> trailing)
+            if (!lr.token().empty())
                 return fail("trailing tokens after inst" + where());
-            cur_block->insts.push_back(std::move(inst));
+        } else if (tag == "pil") {
+            if (saw_header)
+                return fail("duplicate 'pil' header" + where());
+            if (lr.token() != "v1")
+                return fail("unsupported version" + where());
+            if (!lr.quoted(p.name))
+                return fail("bad program name" + where());
+            saw_header = true;
+        } else if (tag == "global") {
+            Global g;
+            if (!lr.quoted(g.name) || !lr.integer(g.size))
+                return fail("bad global" + where());
+            if (g.size < 1 || g.size > kMaxGlobalSize)
+                return fail("global size out of range" + where());
+            if (!global_names.insert(g.name).second)
+                return fail("duplicate global '" + g.name + "'" +
+                            where());
+            for (std::string_view tok = lr.token(); !tok.empty();
+                 tok = lr.token()) {
+                std::int64_t v = 0;
+                if (!parseInt(tok, v))
+                    return fail("bad global init value" + where());
+                g.init.push_back(v);
+            }
+            if (g.init.size() > static_cast<std::size_t>(g.size))
+                return fail("more init values than cells" + where());
+            p.globals.push_back(std::move(g));
+        } else if (tag == "mutex") {
+            std::string n;
+            if (!lr.quoted(n))
+                return fail("bad mutex" + where());
+            if (!mutex_names.insert(n).second)
+                return fail("duplicate mutex '" + n + "'" + where());
+            p.mutex_names.push_back(std::move(n));
+        } else if (tag == "cond") {
+            std::string n;
+            if (!lr.quoted(n))
+                return fail("bad cond" + where());
+            if (!cond_names.insert(n).second)
+                return fail("duplicate cond '" + n + "'" + where());
+            p.cond_names.push_back(std::move(n));
+        } else if (tag == "barrier") {
+            std::string n;
+            int count = 0;
+            if (!lr.quoted(n) || !lr.integer(count))
+                return fail("bad barrier" + where());
+            if (count < 1 || count > kMaxBarrierCount)
+                return fail("barrier count out of range" + where());
+            if (!barrier_names.insert(n).second)
+                return fail("duplicate barrier '" + n + "'" +
+                            where());
+            p.barrier_names.push_back(std::move(n));
+            p.barrier_counts.push_back(count);
+        } else if (tag == "input") {
+            InputDecl d;
+            if (!lr.quoted(d.name) || !lr.integer(d.lo) ||
+                !lr.integer(d.hi)) {
+                return fail("bad input declaration" + where());
+            }
+            if (d.lo > d.hi)
+                return fail("input domain empty" + where());
+            if (!input_names.insert(d.name).second)
+                return fail("duplicate input '" + d.name + "'" +
+                            where());
+            if (!lr.token().empty())
+                return fail("trailing tokens after input" + where());
+            p.inputs.push_back(std::move(d));
+        } else if (tag == "func") {
+            Function f;
+            if (!lr.quoted(f.name) || !lr.integer(f.num_params) ||
+                !lr.integer(f.num_regs)) {
+                return fail("bad func" + where());
+            }
+            if (f.num_params < 0 || f.num_regs < 0 ||
+                f.num_regs > kMaxRegs || f.num_params > f.num_regs) {
+                return fail("func register counts out of range" +
+                            where());
+            }
+            if (!func_names.insert(f.name).second)
+                return fail("duplicate func '" + f.name + "'" +
+                            where());
+            p.functions.push_back(std::move(f));
+            cur_func = &p.functions.back();
+            cur_block = nullptr;
+        } else if (tag == "block") {
+            if (!cur_func)
+                return fail("block outside func" + where());
+            BasicBlock b;
+            if (!lr.quoted(b.name))
+                return fail("bad block" + where());
+            cur_func->blocks.push_back(std::move(b));
+            cur_block = &cur_func->blocks.back();
         } else if (tag == "end") {
             saw_end = true;
             break;
         } else {
-            return fail("unknown tag '" + tag + "'" + where());
+            return fail("unknown tag '" + std::string(tag) + "'" +
+                        where());
         }
     }
 
@@ -365,7 +503,7 @@ deserializeProgram(const std::string &text, std::string *error)
         return fail("missing 'pil v1' header");
     if (!saw_end)
         return fail("missing 'end'");
-    while (std::getline(is, line)) {
+    while (nextLine(rest, line)) {
         lineno += 1;
         if (!line.empty()) {
             return fail("content after 'end' (line " +

@@ -163,5 +163,26 @@ TEST(SerializeQuoteTest, EscapedStringsSurvive)
               "label with spaces \"and\" quotes");
 }
 
+TEST(SerializeQuoteTest, WhitespaceInsideQuotesRoundTripsByteForByte)
+{
+    // Space runs, tabs, and spaces at either end are kept exactly; a
+    // quoted string is a character-level token, not a re-joining of
+    // whitespace-split words.
+    const std::string label = "two  spaces\tand a tab ";
+    ProgramBuilder pb(" padded  name\t");
+    auto &m = pb.function("main", 0);
+    m.to(m.block("entry"));
+    m.outputStr(label);
+    m.halt();
+    Program p = pb.build();
+    const std::string text = serializeProgram(p);
+    std::string err;
+    auto parsed = deserializeProgram(text, &err);
+    ASSERT_TRUE(parsed.has_value()) << err;
+    EXPECT_EQ(parsed->name, p.name);
+    EXPECT_EQ(parsed->functions[0].blocks[0].insts[0].text, label);
+    EXPECT_EQ(serializeProgram(*parsed), text);
+}
+
 } // namespace
 } // namespace portend::ir
