@@ -12,6 +12,7 @@
 #include "portend/portend.h"
 #include "replay/trace.h"
 #include "rt/vmstate.h"
+#include "support/trace.h"
 
 namespace portend::fuzz {
 
@@ -116,8 +117,12 @@ runOracle(const ir::Program &prog, const OracleOptions &opts)
             {std::move(name), ok, ok ? "" : std::move(detail)});
     };
 
+    // Each check runs under its own "oracle" span, so a trace
+    // attributes the oracle's time check by check.
+
     // -- Structural checks -------------------------------------------
     {
+        obs::Span span("oracle", "verify");
         std::vector<std::string> errors = ir::verifyProgram(prog);
         std::string all;
         for (const std::string &e : errors)
@@ -127,6 +132,7 @@ runOracle(const ir::Program &prog, const OracleOptions &opts)
             return v; // running an invalid program proves nothing
     }
     {
+        obs::Span span("oracle", "roundtrip");
         std::string text = ir::serializeProgram(prog);
         std::string error;
         std::optional<ir::Program> back =
@@ -155,6 +161,7 @@ runOracle(const ir::Program &prog, const OracleOptions &opts)
 
     // -- Detector monotonicity ---------------------------------------
     {
+        obs::Span span("oracle", "detector-monotonicity");
         core::PortendOptions o = full;
         o.detector = core::DetectorKind::HappensBeforeNoMutex;
         core::DetectionResult nomutex = core::Portend(prog, o).detect();
@@ -172,6 +179,7 @@ runOracle(const ir::Program &prog, const OracleOptions &opts)
 
     // -- Classifier vs. baselines ------------------------------------
     {
+        obs::Span span("oracle", "baselines");
         baseline::AdhocDetector adhoc(prog);
         baseline::HeuristicClassifier heuristic(prog);
         baseline::ReplayAnalyzer rra(prog, opts.max_steps);
@@ -230,6 +238,7 @@ runOracle(const ir::Program &prog, const OracleOptions &opts)
 
     // -- Determinism: same seed, byte-identical everything -----------
     {
+        obs::Span span("oracle", "determinism");
         core::PortendResult r2 = core::Portend(prog, full).run();
         bool same_trace =
             r2.detection.trace.serialize() == v.trace_text;
@@ -242,6 +251,7 @@ runOracle(const ir::Program &prog, const OracleOptions &opts)
 
     // -- Jobs invariance: --jobs 2 == --jobs 1 -----------------------
     {
+        obs::Span span("oracle", "jobs-invariance");
         core::PortendOptions o = full;
         o.jobs = 2;
         core::PortendResult rj = core::Portend(prog, o).run();
@@ -288,33 +298,40 @@ runOracle(const ir::Program &prog, const OracleOptions &opts)
             };
 
         // random -> dpor at equal budget.
-        core::PortendOptions o = full;
-        o.explore = full.explore == explore::ExploreMode::Dpor
-                        ? explore::ExploreMode::Random
-                        : explore::ExploreMode::Dpor;
-        core::PortendResult other = core::Portend(prog, o).run();
-        const core::PortendResult &as_random =
-            full.explore == explore::ExploreMode::Dpor ? other : r1;
-        const core::PortendResult &as_dpor =
-            full.explore == explore::ExploreMode::Dpor ? r1 : other;
-        const std::string lost_explore =
-            lostViolation(as_random, as_dpor);
-        check("explore-monotonicity", lost_explore.empty(),
-              "random->dpor lost a spec-violated verdict: " +
-                  lost_explore);
+        {
+            obs::Span span("oracle", "explore-monotonicity");
+            core::PortendOptions o = full;
+            o.explore = full.explore == explore::ExploreMode::Dpor
+                            ? explore::ExploreMode::Random
+                            : explore::ExploreMode::Dpor;
+            core::PortendResult other = core::Portend(prog, o).run();
+            const core::PortendResult &as_random =
+                full.explore == explore::ExploreMode::Dpor ? other : r1;
+            const core::PortendResult &as_dpor =
+                full.explore == explore::ExploreMode::Dpor ? r1 : other;
+            const std::string lost_explore =
+                lostViolation(as_random, as_dpor);
+            check("explore-monotonicity", lost_explore.empty(),
+                  "random->dpor lost a spec-violated verdict: " +
+                      lost_explore);
+        }
 
         // Ma raise in the primary explorer.
-        core::PortendOptions wide = full;
-        wide.ma = full.ma * 2;
-        core::PortendResult rw = core::Portend(prog, wide).run();
-        const std::string lost_ma = lostViolation(r1, rw);
-        check("ma-monotonicity", lost_ma.empty(),
-              "doubling --ma lost a spec-violated verdict: " +
-                  lost_ma);
+        {
+            obs::Span span("oracle", "ma-monotonicity");
+            core::PortendOptions wide = full;
+            wide.ma = full.ma * 2;
+            core::PortendResult rw = core::Portend(prog, wide).run();
+            const std::string lost_ma = lostViolation(r1, rw);
+            check("ma-monotonicity", lost_ma.empty(),
+                  "doubling --ma lost a spec-violated verdict: " +
+                      lost_ma);
+        }
     }
 
     // -- k-monotonicity ----------------------------------------------
     {
+        obs::Span span("oracle", "k-monotonicity");
         core::PortendOptions lo = full;
         lo.mp = 1;
         lo.ma = 1;
@@ -369,6 +386,7 @@ runOracle(const ir::Program &prog, const OracleOptions &opts)
     // set. Any decisive symbolic verdict must also carry evidence
     // that replayEvidence reproduces byte-identically.
     if (!prog.inputs.empty()) {
+        obs::Span span("oracle", "sym-monotonicity");
         core::PortendOptions lo = full;
         lo.mp = 1;
         lo.ma = 1;
@@ -432,36 +450,39 @@ runOracle(const ir::Program &prog, const OracleOptions &opts)
             }
         }
 
-        core::RaceAnalyzer analyzer(prog, so);
-        const auto renderReplay =
-            [](const core::RaceAnalyzer::EvidenceReplay &r) {
-                std::string s = rt::runOutcomeName(r.outcome);
-                s += "|" + r.detail + "|";
-                for (const rt::OutputRecord &rec : r.output.records)
-                    s += rec.toString() + "\n";
-                return s;
-            };
-        std::string mismatch;
-        for (const core::PortendReport &rep : rs.reports) {
-            if (rank(rep.classification.cls) < 3)
-                continue;
-            core::RaceAnalyzer::EvidenceReplay a =
-                analyzer.replayEvidence(rep.cluster.representative,
-                                        rs.detection.trace,
-                                        rep.classification);
-            core::RaceAnalyzer::EvidenceReplay b =
-                analyzer.replayEvidence(rep.cluster.representative,
-                                        rs.detection.trace,
-                                        rep.classification);
-            if (renderReplay(a) != renderReplay(b)) {
-                mismatch += (mismatch.empty() ? "" : "; ") +
-                            std::string("replay of ") +
-                            prog.cellName(
-                                rep.cluster.representative.cell) +
-                            " is not deterministic";
+        {
+            obs::Span span("oracle", "witness-replay");
+            core::RaceAnalyzer analyzer(prog, so);
+            const auto renderReplay =
+                [](const core::RaceAnalyzer::EvidenceReplay &r) {
+                    std::string s = rt::runOutcomeName(r.outcome);
+                    s += "|" + r.detail + "|";
+                    for (const rt::OutputRecord &rec : r.output.records)
+                        s += rec.toString() + "\n";
+                    return s;
+                };
+            std::string mismatch;
+            for (const core::PortendReport &rep : rs.reports) {
+                if (rank(rep.classification.cls) < 3)
+                    continue;
+                core::RaceAnalyzer::EvidenceReplay a =
+                    analyzer.replayEvidence(rep.cluster.representative,
+                                            rs.detection.trace,
+                                            rep.classification);
+                core::RaceAnalyzer::EvidenceReplay b =
+                    analyzer.replayEvidence(rep.cluster.representative,
+                                            rs.detection.trace,
+                                            rep.classification);
+                if (renderReplay(a) != renderReplay(b)) {
+                    mismatch += (mismatch.empty() ? "" : "; ") +
+                                std::string("replay of ") +
+                                prog.cellName(
+                                    rep.cluster.representative.cell) +
+                                " is not deterministic";
+                }
             }
+            check("witness-replay", mismatch.empty(), mismatch);
         }
-        check("witness-replay", mismatch.empty(), mismatch);
     }
 
     return v;

@@ -843,6 +843,8 @@ Interpreter::run(const StopSpec &stop)
         (s->immediate() ? immediate_sinks : batched_sinks).push_back(s);
     record_events = !sinks.empty() || policy != nullptr ||
                     (active_stop && active_stop->after_event != nullptr);
+    preempt_exits =
+        policy != nullptr || opts.cycle_test_from < opts.max_steps;
     event_buf.clear();
 
     const std::uint64_t boxed0 = valuesBoxed();
@@ -1083,10 +1085,12 @@ Interpreter::segment(ThreadId tid, bool first)
         // which keeps the current (runnable-by-definition) thread at
         // every decision point — so exiting the segment to pick
         // would always re-pick this thread. Skip the round trip and
-        // keep executing; policies must still observe every decision
-        // point, both to steer and to keep trace cursors (which
-        // index by decision count) aligned between record and replay.
-        if (!first && policy != nullptr && isPreemptionPoint(*t, di))
+        // keep executing, unless the run arms the cycle test, whose
+        // probes sit at decision points; policies must still observe
+        // every decision point, both to steer and to keep trace
+        // cursors (which index by decision count) aligned between
+        // record and replay.
+        if (!first && preempt_exits && isPreemptionPoint(*t, di))
             return SegExit::Preempt;
 
         st.global_step += 1;

@@ -420,6 +420,11 @@ class Interpreter
      *  installed policy, or an after_event stop); when false the hot
      *  loop skips Event construction entirely. */
     bool record_events = false;
+    /** True while segment() exits at preemption points this run: a
+     *  policy is installed, or opts arm the cycle test, whose probes
+     *  run at scheduling decisions. Depends on the policy and opts
+     *  only, so setCycleTestEnabled() never changes the schedule. */
+    bool preempt_exits = false;
     std::vector<EventSink *> immediate_sinks;
     std::vector<EventSink *> batched_sinks;
     /** Reusable staging buffer for batched event delivery. */

@@ -99,6 +99,14 @@ class FifoPolicy : public SchedulePolicy
         }
         return runnable.front();
     }
+
+    /** Stateless: picks depend on the VM state alone, whose key
+     *  covers `current`. */
+    bool
+    cycleKey(const VmState &, std::vector<std::uint64_t> &) const override
+    {
+        return true;
+    }
 };
 
 /**

@@ -8,8 +8,8 @@
  * (complete) event model renders as a flame graph in
  * chrome://tracing or Perfetto. Categories name the subsystem the
  * span belongs to — `interp`, `ladder`, `explore`, `sym`,
- * `scheduler`, `pipeline`, `classify`, `fuzz` — so one classification
- * shows where its time went across every layer.
+ * `scheduler`, `pipeline`, `classify`, `fuzz`, `oracle` — so one
+ * classification shows where its time went across every layer.
  *
  * Like the metrics layer, the tracer is a null global by default:
  * a Span's constructor is one relaxed pointer load and a branch when

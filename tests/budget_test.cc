@@ -33,6 +33,7 @@
 #include "rt/interpreter.h"
 #include "rt/policy.h"
 #include "support/observe.h"
+#include "workloads/registry.h"
 
 namespace portend::core {
 namespace {
@@ -362,6 +363,35 @@ TEST(CycleCutTest, NothingIsTestedBeforeTheArmingStep)
     interp.setPolicy(&rotate);
     EXPECT_EQ(interp.run(), rt::RunOutcome::TimedOut);
     EXPECT_EQ(obs.shard().counter(obs::Counter::InterpCycleCuts), 0u);
+}
+
+TEST(CycleCutTest, RunWithoutAPolicyReachesTheCycleTest)
+{
+    // With no policy installed the scheduler is FIFO, which keeps a
+    // spinning thread running; an armed cycle test must still see the
+    // spin's decision points and cut it.
+    for (const char *name : {"ocean", "fmm", "memcached"}) {
+        SCOPED_TRACE(name);
+        const ir::Program p = workloads::buildWorkload(name).program;
+        rt::ExecOptions eo;
+        eo.preempt_on_memory = true;
+        eo.cycle_test_from = 0;
+
+        rt::Interpreter full(p, eo);
+        {
+            CycleTestOff off;
+            ASSERT_EQ(full.run(), rt::RunOutcome::TimedOut);
+        }
+        Collect obs;
+        rt::Interpreter cut(p, eo);
+        ASSERT_EQ(cut.run(), rt::RunOutcome::TimedOut);
+        EXPECT_EQ(cut.state().global_step, eo.max_steps);
+        expectSameState(cut.state(), full.state());
+        const obs::MetricsShard m = obs.shard();
+        EXPECT_EQ(m.counter(obs::Counter::InterpCycleCuts), 1u);
+        EXPECT_LT(m.counter(obs::Counter::InterpSteps) * 100,
+                  eo.max_steps);
+    }
 }
 
 // -- Analysis ---------------------------------------------------------
