@@ -116,8 +116,10 @@ measure(const Subject &s, explore::ExploreMode mode, int ma)
     core::PortendResult res = tool.run();
     Row row;
     row.seconds = sw.seconds() - res.detection.seconds;
-    row.explored = res.scheduling.schedules_explored;
-    row.distinct = res.scheduling.distinct_schedules;
+    row.explored = static_cast<int>(
+        res.metrics.counter(obs::Counter::ClassifySchedules));
+    row.distinct = static_cast<int>(
+        res.metrics.counter(obs::Counter::ClassifyDistinctSchedules));
     std::map<std::string, int> hist;
     for (const core::PortendReport &r : res.reports)
         hist[core::raceClassName(r.classification.cls)] += 1;

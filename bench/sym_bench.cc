@@ -63,9 +63,12 @@ measureFork(const workloads::Workload &w, bool symbolic)
     core::PortendResult res = tool.run();
     ForkRow row;
     row.seconds = sw.seconds() - res.detection.seconds;
-    row.states_created = res.scheduling.states_created;
-    row.solver_queries = res.scheduling.solver_queries;
-    row.distinct_schedules = res.scheduling.distinct_schedules;
+    using obs::Counter;
+    row.states_created = static_cast<int>(
+        res.metrics.counter(Counter::ClassifyStatesCreated));
+    row.solver_queries = res.metrics.counter(Counter::ClassifySolverQueries);
+    row.distinct_schedules = static_cast<int>(
+        res.metrics.counter(Counter::ClassifyDistinctSchedules));
     if (!res.reports.empty()) {
         const core::Classification &c =
             res.reports[0].classification;

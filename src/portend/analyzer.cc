@@ -893,6 +893,114 @@ emitScheduleEvent(const explore::PostSpec &spec, int path, bool fresh,
 
 } // namespace
 
+void
+RaceAnalyzer::setVerdict(Classification &c, const SingleResult &r,
+                         const Evidence *ev)
+{
+    switch (r.kind) {
+      case SingleResult::Kind::SpecViol:
+        c.cls = RaceClass::SpecViolated;
+        break;
+      case SingleResult::Kind::OutDiff:
+        c.cls = RaceClass::OutputDiffers;
+        break;
+      case SingleResult::Kind::SingleOrd:
+        c.cls = RaceClass::SingleOrdering;
+        break;
+      case SingleResult::Kind::NotReached:
+      case SingleResult::Kind::Skipped:
+        c.cls = RaceClass::Unclassified;
+        break;
+      case SingleResult::Kind::OutSame:
+        PORTEND_PANIC("an equivalent output decides no verdict");
+    }
+    c.viol = r.viol;
+    c.detail = r.detail;
+    c.output_diff = r.output_diff;
+    if (!ev || (r.kind != SingleResult::Kind::SpecViol &&
+                r.kind != SingleResult::Kind::OutDiff)) {
+        return;
+    }
+    c.evidence_inputs = ev->inputs;
+    c.evidence_witness = ev->witness;
+    c.evidence_alternate = ev->alternate;
+    c.evidence_seed = ev->post.seed;
+    c.evidence_schedule.assign(ev->post.prefix.begin(),
+                               ev->post.prefix.end());
+    c.evidence_signature = ev->signature;
+}
+
+bool
+RaceAnalyzer::runSchedules(Classification &c, int &witnesses,
+                           Evidence &ev, int path,
+                           std::set<std::string> *known,
+                           const Judge &judge) const
+{
+    // Multi-schedule: the explorer issues the post-race schedules —
+    // Ma seeded samples under `random`, the same samples plus
+    // systematic bounded-preemption backtracking until Ma *distinct*
+    // interleaving classes under `dpor`. Without it the one schedule
+    // is the trace-following alternate, whose evidence seed stays 0
+    // so that replayEvidence rebuilds exactly that schedule.
+    std::optional<explore::ScheduleExplorer> explorer;
+    if (opts.multi_schedule) {
+        explore::ExplorerOptions xopts;
+        xopts.mode = opts.explore;
+        xopts.budget = opts.ma;
+        xopts.preemption_bound = opts.preemption_bound;
+        // Legacy seed layout: seed j of path p is p * 16 + j.
+        xopts.seed_base = static_cast<std::uint64_t>(path) * 16;
+        if (known)
+            xopts.known = *known;
+        explorer.emplace(std::move(xopts));
+    }
+
+    bool decided = false;
+    for (std::optional<explore::PostSpec> spec =
+             explorer ? explorer->next() : explore::PostSpec::trace();
+         spec; spec = explorer ? explorer->next() : std::nullopt) {
+        std::optional<obs::Span> cand_span;
+        if (explorer) {
+            cand_span.emplace("explore", "dpor-candidate");
+            if (path > 0)
+                cand_span->arg("path", path);
+        }
+        c.stats.schedules_explored += 1;
+        SingleResult r = judge(*spec);
+        // Only an enforced alternate witnessed a post-race schedule;
+        // everything else teaches the explorer nothing.
+        bool fresh = false;
+        if (explorer) {
+            fresh = r.alternate_enforced && explorer->record(r.observation);
+            emitScheduleEvent(*spec, path, fresh, explorer->distinct(),
+                              c.stats.schedules_explored);
+        }
+        if (r.kind == SingleResult::Kind::SpecViol ||
+            r.kind == SingleResult::Kind::OutDiff) {
+            ev.post = *spec;
+            // An OutDiff always comes from an enforced alternate.
+            if (explorer && r.alternate_enforced)
+                ev.signature = explorer->lastSignature();
+            setVerdict(c, r, &ev);
+            decided = true;
+            break;
+        }
+        // Under dpor a witness is a *distinct* interleaving class;
+        // the random sampler keeps its legacy run counting.
+        if (r.kind == SingleResult::Kind::OutSame &&
+            (!explorer || opts.explore == explore::ExploreMode::Random ||
+             fresh)) {
+            witnesses += 1;
+        }
+    }
+    if (explorer) {
+        c.stats.distinct_schedules += explorer->distinct();
+        if (known)
+            *known = explorer->signatures();
+    }
+    return decided;
+}
+
 Classification
 RaceAnalyzer::classify(const race::RaceReport &race,
                        const replay::ScheduleTrace &trace,
@@ -902,6 +1010,23 @@ RaceAnalyzer::classify(const race::RaceReport &race,
     cls_span.arg("cell", race.cell);
     Stopwatch sw;
     Classification c;
+    std::optional<exec::Executor> paths_ex;
+    classifyStages(c, paths_ex, race, trace, ladder);
+    // The one exit: output comparison issues solver queries up to the
+    // verdict, so the ledger is read only here.
+    if (paths_ex)
+        c.stats.solver_queries = paths_ex->solver().stats().queries;
+    c.stats.seconds = sw.seconds();
+    return c;
+}
+
+void
+RaceAnalyzer::classifyStages(Classification &c,
+                             std::optional<exec::Executor> &paths_ex,
+                             const race::RaceReport &race,
+                             const replay::ScheduleTrace &trace,
+                             const replay::CheckpointLadder *ladder) const
+{
     const std::vector<std::int64_t> inputs0 = trace.concreteInputs();
 
     // ---- Stage 1: single-pre/single-post (Algorithm 1). ----
@@ -912,46 +1037,31 @@ RaceAnalyzer::classify(const race::RaceReport &race,
                             explore::PostSpec::trace(), ladder, c.stats);
     }
     c.states_differ = s1.states_differ;
-
-    bool done = true;
-    switch (s1.kind) {
-      case SingleResult::Kind::SpecViol:
-        c.cls = RaceClass::SpecViolated;
-        c.viol = s1.viol;
-        c.detail = s1.detail;
-        c.evidence_inputs = inputs0;
-        c.evidence_alternate = true;
-        break;
-      case SingleResult::Kind::SingleOrd:
-        c.cls = RaceClass::SingleOrdering;
-        c.detail = s1.detail;
-        break;
-      case SingleResult::Kind::OutDiff:
-        c.cls = RaceClass::OutputDiffers;
-        c.detail = s1.detail;
-        c.output_diff = s1.output_diff;
-        c.evidence_inputs = inputs0;
-        c.evidence_alternate = true;
-        break;
-      case SingleResult::Kind::NotReached:
-      case SingleResult::Kind::Skipped:
-        c.cls = RaceClass::Unclassified;
-        c.detail = s1.detail;
-        break;
-      case SingleResult::Kind::OutSame:
-        done = false;
-        break;
-    }
-    if (done) {
-        c.stats.seconds = sw.seconds();
-        return c;
+    Evidence recorded_ev;
+    recorded_ev.inputs = inputs0;
+    if (s1.kind != SingleResult::Kind::OutSame) {
+        setVerdict(c, s1, &recorded_ev);
+        return;
     }
 
     int witnesses = 1; // stage 1 matched
     c.stats.schedules_explored = 1;
 
-    // ---- Stage 2+3: multi-path, multi-schedule. ----
-    if (opts.multi_path) {
+    // ---- Stage 2+3: multi-path, multi-schedule (k = paths x
+    // schedules). Each primary path's schedules are judged by an
+    // alternate against its symbolic outputs; without multi-path,
+    // Algorithm 1 reruns on the recorded inputs per schedule. ----
+    if (!opts.multi_path) {
+        if (opts.multi_schedule &&
+            runSchedules(c, witnesses, recorded_ev, 0, nullptr,
+                         [&](const explore::PostSpec &spec) {
+                             return singleClassify(race, trace, inputs0,
+                                                   spec, ladder,
+                                                   c.stats);
+                         })) {
+            return;
+        }
+    } else {
         rt::ExecOptions eo = baseOptions();
         eo.input_mode = rt::InputMode::Symbolic;
         eo.max_symbolic_inputs = opts.max_symbolic_inputs;
@@ -962,7 +1072,7 @@ RaceAnalyzer::classify(const race::RaceReport &race,
         xo.max_paths = opts.mp;
         xo.max_states = opts.executor_max_states;
         xo.solver = opts.solver;
-        exec::Executor ex(xo);
+        exec::Executor &ex = paths_ex.emplace(xo);
         // Whether decisive verdicts carry a named input witness.
         const bool named = !opts.sym_inputs.empty();
 
@@ -985,44 +1095,41 @@ RaceAnalyzer::classify(const race::RaceReport &race,
         c.stats.paths_explored = static_cast<int>(paths.size());
         c.stats.states_created = ex.statesCreated();
         absorbStats(c.stats, sym_interp.state());
-        // Keep the solver ledger current at every exit point: output
-        // comparison below issues further queries.
-        auto noteSolver = [&] {
-            c.stats.solver_queries = ex.solver().stats().queries;
+
+        const auto pathEvidence = [&](const exec::PathResult &p) {
+            Evidence ev;
+            ev.inputs = concretizeEnvLog(p.state.env_log, p.model);
+            if (named)
+                ev.witness = witnessOf(p.state.env_log, p.model);
+            return ev;
         };
-        noteSolver();
 
         // A primary path itself violating the specification is
         // direct evidence of harm (when attributable to this race).
         for (const auto &p : paths) {
-            if (rt::isSpecViolation(p.state.outcome)) {
-                if ((p.state.outcome == rt::RunOutcome::CrashOob ||
-                     p.state.outcome ==
-                         rt::RunOutcome::CrashDivZero) &&
-                    !crashInvolvesRaceCell(p.state, race)) {
-                    continue;
-                }
-                c.cls = RaceClass::SpecViolated;
-                c.viol = violationOf(p.state.outcome);
-                c.detail = p.state.outcome_detail;
-                c.evidence_inputs =
-                    concretizeEnvLog(p.state.env_log, p.model);
-                if (named)
-                    c.evidence_witness =
-                        witnessOf(p.state.env_log, p.model);
-                c.evidence_alternate = false;
-                noteSolver();
-                c.stats.seconds = sw.seconds();
-                return c;
+            const rt::RunOutcome oc = p.state.outcome;
+            if (!rt::isSpecViolation(oc) ||
+                ((oc == rt::RunOutcome::CrashOob ||
+                  oc == rt::RunOutcome::CrashDivZero) &&
+                 !crashInvolvesRaceCell(p.state, race))) {
+                continue;
             }
+            SingleResult r;
+            r.kind = SingleResult::Kind::SpecViol;
+            r.viol = violationOf(oc);
+            r.detail = p.state.outcome_detail;
+            Evidence ev = pathEvidence(p);
+            ev.alternate = false;
+            setVerdict(c, r, &ev);
+            return;
         }
         if (!sem.violation().empty()) {
-            c.cls = RaceClass::SpecViolated;
-            c.viol = ViolationKind::SemanticAssert;
-            c.detail = sem.violation();
-            noteSolver();
-            c.stats.seconds = sw.seconds();
-            return c;
+            SingleResult r;
+            r.kind = SingleResult::Kind::SpecViol;
+            r.viol = ViolationKind::SemanticAssert;
+            r.detail = sem.violation();
+            setVerdict(c, r, nullptr);
+            return;
         }
 
         const std::uint64_t recorded = recordedSteps(trace);
@@ -1039,216 +1146,33 @@ RaceAnalyzer::classify(const race::RaceReport &race,
             // output streams (crashed ones were handled above).
             if (p.state.outcome != rt::RunOutcome::Exited)
                 continue;
-            std::vector<std::int64_t> inputs_p =
-                concretizeEnvLog(p.state.env_log, p.model);
-
-            if (!opts.multi_schedule) {
-                // Single deterministic alternate per path. Evidence
-                // seed stays 0: the verdict came from the
-                // trace-following schedule, and replayEvidence must
-                // rebuild exactly that (a nonzero seed would replay
-                // a random post-race schedule instead).
-                c.stats.schedules_explored += 1;
-                SingleResult a = runAlternate(
-                    race, trace, inputs_p, explore::PostSpec::trace(),
-                    recorded, ladder, c.stats);
-                switch (a.kind) {
-                  case SingleResult::Kind::SpecViol:
-                    c.cls = RaceClass::SpecViolated;
-                    c.viol = a.viol;
-                    c.detail = a.detail;
-                    c.evidence_inputs = inputs_p;
-                    if (named)
-                        c.evidence_witness =
-                            witnessOf(p.state.env_log, p.model);
-                    c.evidence_alternate = true;
-                    noteSolver();
-                    c.stats.seconds = sw.seconds();
-                    return c;
-                  case SingleResult::Kind::OutSame: {
-                    OutputComparison cmp = compareSymbolicOutputs(
-                        p.state.output, p.state.path.constraints(),
-                        a.alternate_out, ex.solver(),
-                        race.first.tid, race.second.tid);
-                    if (!cmp.match) {
-                        c.cls = RaceClass::OutputDiffers;
-                        c.output_diff = cmp.diff;
-                        c.detail = "outputs diverge on an explored "
-                                   "path/schedule";
-                        c.evidence_inputs = inputs_p;
-                        if (named)
-                            c.evidence_witness =
-                                witnessOf(p.state.env_log, p.model);
-                        c.evidence_alternate = true;
-                        noteSolver();
-                        c.stats.seconds = sw.seconds();
-                        return c;
-                    }
-                    witnesses += 1;
-                    break;
-                  }
-                  default:
-                    break; // no witness from this combination
-                }
-                continue;
-            }
-
-            // Multi-schedule: the explorer issues this path's
-            // post-race schedules — Ma seeded samples under
-            // `random`, the same samples plus systematic
-            // bounded-preemption backtracking until Ma *distinct*
-            // interleaving classes under `dpor`.
-            explore::ExplorerOptions xopts;
-            xopts.mode = opts.explore;
-            xopts.budget = opts.ma;
-            xopts.preemption_bound = opts.preemption_bound;
-            // Legacy seed layout: seed j of path p is p * 16 + j.
-            xopts.seed_base =
-                static_cast<std::uint64_t>(path_index) * 16;
-            if (named)
-                xopts.known = known_sigs;
-            explore::ScheduleExplorer sched_ex(xopts);
-            while (std::optional<explore::PostSpec> spec =
-                       sched_ex.next()) {
-                obs::Span cand_span("explore", "dpor-candidate");
-                cand_span.arg("path", path_index);
-                c.stats.schedules_explored += 1;
-                SingleResult a =
-                    runAlternate(race, trace, inputs_p, *spec,
-                                 recorded, ladder, c.stats);
-                // Only an enforced alternate witnessed a post-race
-                // schedule; everything else teaches the explorer
-                // nothing.
-                const bool fresh =
-                    a.alternate_enforced &&
-                    sched_ex.record(a.observation);
-                emitScheduleEvent(*spec, path_index, fresh,
-                                  sched_ex.distinct(),
-                                  c.stats.schedules_explored);
-                switch (a.kind) {
-                  case SingleResult::Kind::SpecViol:
-                    c.cls = RaceClass::SpecViolated;
-                    c.viol = a.viol;
-                    c.detail = a.detail;
-                    c.evidence_inputs = inputs_p;
-                    if (named)
-                        c.evidence_witness =
-                            witnessOf(p.state.env_log, p.model);
-                    c.evidence_seed = spec->seed;
-                    c.evidence_schedule.assign(spec->prefix.begin(),
-                                               spec->prefix.end());
-                    if (a.alternate_enforced)
-                        c.evidence_signature =
-                            sched_ex.lastSignature();
-                    c.evidence_alternate = true;
-                    c.stats.distinct_schedules += sched_ex.distinct();
-                    noteSolver();
-                    c.stats.seconds = sw.seconds();
-                    return c;
-                  case SingleResult::Kind::OutSame: {
-                    OutputComparison cmp = compareSymbolicOutputs(
-                        p.state.output, p.state.path.constraints(),
-                        a.alternate_out, ex.solver(),
-                        race.first.tid, race.second.tid);
-                    if (!cmp.match) {
-                        c.cls = RaceClass::OutputDiffers;
-                        c.output_diff = cmp.diff;
-                        c.detail = "outputs diverge on an explored "
-                                   "path/schedule";
-                        c.evidence_inputs = inputs_p;
-                        if (named)
-                            c.evidence_witness = witnessOf(
-                                p.state.env_log, p.model);
-                        c.evidence_seed = spec->seed;
-                        c.evidence_schedule.assign(
-                            spec->prefix.begin(), spec->prefix.end());
-                        c.evidence_signature =
-                            sched_ex.lastSignature();
-                        c.evidence_alternate = true;
-                        c.stats.distinct_schedules +=
-                            sched_ex.distinct();
-                        noteSolver();
-                        c.stats.seconds = sw.seconds();
-                        return c;
-                    }
-                    // Under dpor a witness is a *distinct*
-                    // interleaving class; the random sampler keeps
-                    // its legacy run counting.
-                    if (opts.explore == explore::ExploreMode::Random ||
-                        fresh) {
-                        witnesses += 1;
-                    }
-                    break;
-                  }
-                  case SingleResult::Kind::SingleOrd:
-                  case SingleResult::Kind::Skipped:
-                  case SingleResult::Kind::NotReached:
-                    break; // no witness from this combination
-                  case SingleResult::Kind::OutDiff:
+            Evidence ev = pathEvidence(p);
+            const auto judge = [&](const explore::PostSpec &spec) {
+                SingleResult a = runAlternate(race, trace, ev.inputs, spec,
+                                              recorded, ladder, c.stats);
+                if (a.kind == SingleResult::Kind::OutDiff) {
                     PORTEND_PANIC("alternate runner cannot produce "
                                   "OutDiff directly");
                 }
-            }
-            c.stats.distinct_schedules += sched_ex.distinct();
-            if (named)
-                known_sigs = sched_ex.signatures();
-        }
-        noteSolver();
-    } else if (opts.multi_schedule) {
-        // Multi-schedule without multi-path: rerun Algorithm 1 on
-        // the original inputs with explorer-issued post-race
-        // schedules (legacy seeds 1..Ma under `random`).
-        explore::ExplorerOptions xopts;
-        xopts.mode = opts.explore;
-        xopts.budget = opts.ma;
-        xopts.preemption_bound = opts.preemption_bound;
-        xopts.seed_base = 0;
-        explore::ScheduleExplorer sched_ex(xopts);
-        while (std::optional<explore::PostSpec> spec =
-                   sched_ex.next()) {
-            obs::Span cand_span("explore", "dpor-candidate");
-            c.stats.schedules_explored += 1;
-            SingleResult s = singleClassify(race, trace, inputs0,
-                                            *spec, ladder, c.stats);
-            const bool fresh = s.alternate_enforced &&
-                               sched_ex.record(s.observation);
-            emitScheduleEvent(*spec, 0, fresh, sched_ex.distinct(),
-                              c.stats.schedules_explored);
-            if (s.kind == SingleResult::Kind::SpecViol) {
-                c.cls = RaceClass::SpecViolated;
-                c.viol = s.viol;
-                c.detail = s.detail;
-                c.evidence_inputs = inputs0;
-                c.evidence_seed = spec->seed;
-                c.evidence_schedule.assign(spec->prefix.begin(),
-                                           spec->prefix.end());
-                if (s.alternate_enforced)
-                    c.evidence_signature = sched_ex.lastSignature();
-                c.evidence_alternate = true;
-                c.stats.distinct_schedules += sched_ex.distinct();
-                c.stats.seconds = sw.seconds();
-                return c;
-            }
-            if (s.kind == SingleResult::Kind::OutDiff) {
-                c.cls = RaceClass::OutputDiffers;
-                c.output_diff = s.output_diff;
-                c.evidence_inputs = inputs0;
-                c.evidence_seed = spec->seed;
-                c.evidence_schedule.assign(spec->prefix.begin(),
-                                           spec->prefix.end());
-                c.evidence_signature = sched_ex.lastSignature();
-                c.evidence_alternate = true;
-                c.stats.distinct_schedules += sched_ex.distinct();
-                c.stats.seconds = sw.seconds();
-                return c;
-            }
-            if (s.kind == SingleResult::Kind::OutSame &&
-                (opts.explore == explore::ExploreMode::Random ||
-                 fresh)) {
-                witnesses += 1;
+                if (a.kind != SingleResult::Kind::OutSame)
+                    return a;
+                OutputComparison cmp = compareSymbolicOutputs(
+                    p.state.output, p.state.path.constraints(),
+                    a.alternate_out, ex.solver(), race.first.tid,
+                    race.second.tid);
+                if (!cmp.match) {
+                    a.kind = SingleResult::Kind::OutDiff;
+                    a.output_diff = cmp.diff;
+                    a.detail = "outputs diverge on an explored "
+                               "path/schedule";
+                }
+                return a;
+            };
+            if (runSchedules(c, witnesses, ev, path_index,
+                             named ? &known_sigs : nullptr, judge)) {
+                return;
             }
         }
-        c.stats.distinct_schedules += sched_ex.distinct();
     }
 
     c.cls = RaceClass::KWitnessHarmless;
@@ -1256,8 +1180,6 @@ RaceAnalyzer::classify(const race::RaceReport &race,
     c.detail = "outputs equivalent across " +
                std::to_string(witnesses) +
                " path-schedule combinations";
-    c.stats.seconds = sw.seconds();
-    return c;
 }
 
 } // namespace portend::core

@@ -30,6 +30,8 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -310,6 +312,50 @@ class RaceAnalyzer
                               std::uint64_t primary_steps,
                               const replay::CheckpointLadder *ladder,
                               AnalysisStats &stats) const;
+
+    /** The replayable evidence behind a decisive verdict (§3.6). */
+    struct Evidence
+    {
+        std::vector<std::int64_t> inputs;
+        std::vector<WitnessInput> witness; ///< named symbolic inputs only
+        bool alternate = true;  ///< the harmful ordering is the alternate
+        explore::PostSpec post; ///< post-race schedule (trace = stage 1's)
+        std::string signature;  ///< its interleaving class, if observed
+    };
+
+    /**
+     * The one place a verdict other than k-witness harmless is
+     * written: @p r's class, violation, detail and output diff, plus
+     * @p ev as the evidence of a spec-violated or output-differs
+     * verdict (null: no replayable evidence).
+     */
+    static void setVerdict(Classification &c, const SingleResult &r,
+                           const Evidence *ev);
+
+    /** Stages 1-3 (the caller records the solver and time ledgers). */
+    void classifyStages(Classification &c,
+                        std::optional<exec::Executor> &paths_ex,
+                        const race::RaceReport &race,
+                        const replay::ScheduleTrace &trace,
+                        const replay::CheckpointLadder *ladder) const;
+
+    /** Judges one post-race schedule on one input vector. */
+    using Judge = std::function<SingleResult(const explore::PostSpec &)>;
+
+    /**
+     * The stage-2/3 schedule loop for one input vector: under
+     * multi-schedule, every schedule a ScheduleExplorer issues (seeds
+     * from path * 16; inheriting and updating @p known when non-null),
+     * otherwise exactly one trace-following alternate. Each OutSame
+     * judgement is a witness (under dpor, only a fresh interleaving
+     * class). A SpecViol or OutDiff sets the verdict with @p ev as
+     * its evidence and ends the loop.
+     *
+     * @return true when a schedule decided the verdict
+     */
+    bool runSchedules(Classification &c, int &witnesses, Evidence &ev,
+                      int path, std::set<std::string> *known,
+                      const Judge &judge) const;
 
     /** The recorded execution's length in steps: the primary length
      *  of stage 2-3 alternates (max_steps when nothing was recorded). */

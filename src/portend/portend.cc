@@ -74,26 +74,22 @@ Portend::detect()
                                                : hb.races();
     result.dynamic_races = found.size();
     result.clusters = race::clusterRaces(found);
-    result.vm = interp.state().stats;
-    result.decoded_sites = interp.decodedSites();
 
     // The detection run's registry view (the --stats block reads
-    // these instead of the raw VmStats fields). Pure function of the
-    // deterministic detection run, so shard-safe.
+    // it). Pure function of the deterministic detection run, so
+    // shard-safe.
     using obs::Counter;
+    const rt::VmStats &vm = interp.state().stats;
     result.metrics.add(Counter::DetectRuns, 1);
     result.metrics.add(Counter::DetectSteps, result.steps);
     result.metrics.add(Counter::DetectDynamicRaces,
                        result.dynamic_races);
     result.metrics.add(Counter::DetectClusters, result.clusters.size());
-    result.metrics.add(Counter::DetectEventsBatched,
-                       result.vm.events_batched);
-    result.metrics.add(Counter::DetectPagesUnshared,
-                       result.vm.pages_unshared);
-    result.metrics.add(Counter::DetectValuesBoxed,
-                       result.vm.values_boxed);
+    result.metrics.add(Counter::DetectEventsBatched, vm.events_batched);
+    result.metrics.add(Counter::DetectPagesUnshared, vm.pages_unshared);
+    result.metrics.add(Counter::DetectValuesBoxed, vm.values_boxed);
     result.metrics.level(obs::Gauge::DecodedSites,
-                         static_cast<std::uint64_t>(result.decoded_sites));
+                         static_cast<std::uint64_t>(interp.decodedSites()));
 
     span.arg("clusters", static_cast<std::int64_t>(result.clusters.size()));
     result.seconds = sw.seconds();
@@ -127,7 +123,6 @@ Portend::runFrom(DetectionResult detection)
     ClassificationScheduler scheduler(prog, opts, staticInfo());
     result.reports = scheduler.classifyAll(result.detection.clusters,
                                            result.detection.trace);
-    result.scheduling = scheduler.stats();
 
     // Pipeline shard: detection first, then the batch — a fixed
     // merge order, like everything else feeding --metrics-out.

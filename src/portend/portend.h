@@ -41,12 +41,8 @@ struct DetectionResult
     std::uint64_t steps = 0;                 ///< instructions run
     double seconds = 0.0;
 
-    /** Interpreter hot-path ledger for the detection run (the CLI
-     *  renders it under --stats, reading the registry view below). */
-    rt::VmStats vm;
-    int decoded_sites = 0;       ///< dense decoded pc space size
-
-    /** Registry view of this detection run: the counters above plus
+    /** Registry view of this detection run: the counters above, the
+     *  interpreter hot-path ledger the CLI renders under --stats, and
      *  cluster/race tallies, as one deterministic shard. */
     obs::MetricsShard metrics;
 };
@@ -56,9 +52,6 @@ struct PortendResult
 {
     DetectionResult detection;
     std::vector<PortendReport> reports;
-
-    /** Classification-batch accounting (worker count, totals). */
-    SchedulerStats scheduling;
 
     /**
      * The whole pipeline's metrics: detection shard merged with the

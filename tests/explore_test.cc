@@ -445,8 +445,10 @@ TEST(ExplorePipelineTest, DporBuysMoreDistinctSchedules)
         dpo_total += b.distinct_schedules;
     }
     EXPECT_GT(dpo_total, rnd_total);
-    EXPECT_EQ(rnd.scheduling.distinct_schedules, rnd_total);
-    EXPECT_EQ(dpo.scheduling.distinct_schedules, dpo_total);
+    EXPECT_EQ(rnd.metrics.counter(obs::Counter::ClassifyDistinctSchedules),
+              static_cast<std::uint64_t>(rnd_total));
+    EXPECT_EQ(dpo.metrics.counter(obs::Counter::ClassifyDistinctSchedules),
+              static_cast<std::uint64_t>(dpo_total));
 }
 
 // Verdict monotonicity, random -> dpor: dpor runs the random phase

@@ -188,27 +188,8 @@ TEST(MetricsDeterminismTest, PipelineShardCountsClustersAndVerdicts)
 }
 
 // ---------------------------------------------------------------------------
-// Ledger views stay consistent with the registry
+// The detection shard is the detection run's only ledger
 // ---------------------------------------------------------------------------
-
-TEST(LedgerViewTest, SchedulerStatsMatchTheMergedShard)
-{
-    workloads::Workload w = workloads::buildWorkload("rw");
-    core::PortendOptions opts;
-    opts.jobs = 2;
-    opts.semantic_predicates = w.semantic_predicates;
-    core::Portend tool(w.program, opts);
-    core::PortendResult res = tool.run();
-    const core::SchedulerStats &st = res.scheduling;
-    const obs::MetricsShard &m = res.metrics;
-    EXPECT_EQ(static_cast<std::uint64_t>(st.clusters),
-              m.counter(obs::Counter::ClassifyClusters));
-    EXPECT_EQ(st.steps, m.counter(obs::Counter::ClassifySteps));
-    EXPECT_EQ(static_cast<std::uint64_t>(st.schedules_explored),
-              m.counter(obs::Counter::ClassifySchedules));
-    EXPECT_EQ(static_cast<std::uint64_t>(st.solver_queries),
-              m.counter(obs::Counter::ClassifySolverQueries));
-}
 
 TEST(LedgerViewTest, DetectionShardMirrorsVmStats)
 {
@@ -218,14 +199,10 @@ TEST(LedgerViewTest, DetectionShardMirrorsVmStats)
     const obs::MetricsShard &m = d.metrics;
     EXPECT_EQ(m.counter(obs::Counter::DetectRuns), 1u);
     EXPECT_EQ(m.counter(obs::Counter::DetectSteps), d.steps);
-    EXPECT_EQ(m.counter(obs::Counter::DetectEventsBatched),
-              d.vm.events_batched);
-    EXPECT_EQ(m.counter(obs::Counter::DetectPagesUnshared),
-              d.vm.pages_unshared);
-    EXPECT_EQ(m.counter(obs::Counter::DetectValuesBoxed),
-              d.vm.values_boxed);
-    EXPECT_EQ(m.gauge(obs::Gauge::DecodedSites),
-              static_cast<std::uint64_t>(d.decoded_sites));
+    // The --stats block reads these; a detection run always decodes
+    // its program and batches the detector's events.
+    EXPECT_GT(m.gauge(obs::Gauge::DecodedSites), 0u);
+    EXPECT_GT(m.counter(obs::Counter::DetectEventsBatched), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -241,6 +218,7 @@ struct ParsedEvent
     double dur = 0;
     long tid = -1;
     std::string cat;
+    std::string name;
 };
 
 std::vector<ParsedEvent>
@@ -261,10 +239,14 @@ parseCompleteEvents(const std::string &json)
         e.ts = number("\"ts\": ");
         e.dur = number("\"dur\": ");
         e.tid = static_cast<long>(number("\"tid\": "));
-        std::size_t c = line.find("\"cat\": \"");
-        EXPECT_NE(c, std::string::npos);
-        c += 8;
-        e.cat = line.substr(c, line.find('"', c) - c);
+        auto text = [&](const char *key) -> std::string {
+            std::size_t at = line.find(key);
+            EXPECT_NE(at, std::string::npos) << key << " in " << line;
+            at += std::strlen(key);
+            return line.substr(at, line.find('"', at) - at);
+        };
+        e.cat = text("\"cat\": \"");
+        e.name = text("\"name\": \"");
         out.push_back(e);
     }
     return out;
@@ -317,6 +299,32 @@ TEST(TraceSchemaTest, PipelineTraceIsWellFormedAndNested)
             }
             open_ends.push_back(end);
         }
+    }
+}
+
+// Every interpreter run opens one interp/run span and bumps interp.runs
+// once, so over a whole classification the counter and the trace agree.
+TEST(TraceSchemaTest, InterpRunsCounterMatchesRunSpans)
+{
+    for (const char *name : {"rw", "bbuf"}) {
+        SinkGuard guard;
+        obs::Collector collector;
+        obs::Tracer tracer;
+        obs::setCollector(&collector);
+        obs::setTracer(&tracer);
+        core::PortendResult res = runWorkload(name, 2);
+        obs::setCollector(nullptr);
+        obs::setTracer(nullptr);
+        ASSERT_FALSE(res.reports.empty()) << name;
+        EXPECT_EQ(tracer.dropped(), 0u) << name;
+
+        std::uint64_t run_spans = 0;
+        for (const ParsedEvent &e : parseCompleteEvents(tracer.toJson()))
+            run_spans += e.cat == "interp" && e.name == "run";
+        obs::MetricsShard m;
+        collector.drainInto(m);
+        EXPECT_GT(run_spans, 0u) << name;
+        EXPECT_EQ(m.counter(obs::Counter::InterpRuns), run_spans) << name;
     }
 }
 

@@ -27,6 +27,13 @@ runWith(const workloads::Workload &w, int jobs,
     return tool.run();
 }
 
+/** One counter of a pipeline result's merged metrics shard. */
+std::uint64_t
+counter(const PortendResult &res, obs::Counter c)
+{
+    return res.metrics.counter(c);
+}
+
 /** Concatenated Fig. 6 report text of a pipeline result. */
 std::string
 reportText(const ir::Program &prog, const PortendResult &res)
@@ -87,13 +94,12 @@ TEST(SchedulerStatsTest, LedgerMatchesPerClusterStats)
         steps += r.classification.stats.steps;
         schedules += r.classification.stats.schedules_explored;
     }
-    EXPECT_EQ(res.scheduling.steps, steps);
-    EXPECT_EQ(res.scheduling.schedules_explored, schedules);
-    EXPECT_EQ(res.scheduling.clusters,
-              static_cast<int>(res.reports.size()));
-    EXPECT_GE(res.scheduling.jobs, 1);
-    EXPECT_GT(res.scheduling.steps, 0u);
-    EXPECT_GE(res.scheduling.seconds, 0.0);
+    EXPECT_EQ(counter(res, obs::Counter::ClassifySteps), steps);
+    EXPECT_EQ(counter(res, obs::Counter::ClassifySchedules),
+              static_cast<std::uint64_t>(schedules));
+    EXPECT_EQ(counter(res, obs::Counter::ClassifyClusters),
+              res.reports.size());
+    EXPECT_GT(steps, 0u);
 }
 
 TEST(SchedulerStatsTest, PerClusterWallTimeIsRecorded)
@@ -171,12 +177,12 @@ TEST(SchedulerLadderTest, LadderIsBuiltOncePerBatch)
     workloads::Workload w = workloads::buildWorkload("pbzip2");
     PortendResult res = runWith(w, 2);
     ASSERT_FALSE(res.reports.empty());
-    EXPECT_GT(res.scheduling.ladder_rungs, 0);
-    EXPECT_LE(res.scheduling.ladder_rungs, res.scheduling.clusters);
-    EXPECT_GT(res.scheduling.ladder_steps, 0u);
+    const std::uint64_t rungs = counter(res, obs::Counter::LadderRungs);
+    EXPECT_GT(rungs, 0u);
+    EXPECT_LE(rungs, counter(res, obs::Counter::ClassifyClusters));
+    EXPECT_GT(counter(res, obs::Counter::LadderBuildSteps), 0u);
     // Every covered cluster saves at least its own prefix replay.
-    EXPECT_GE(res.scheduling.ladder_covered_steps,
-              static_cast<std::uint64_t>(res.scheduling.ladder_rungs));
+    EXPECT_GE(counter(res, obs::Counter::LadderCoveredSteps), rungs);
 }
 
 TEST(SchedulerBudgetTest, JobsZeroResolvesToHardware)
@@ -238,8 +244,8 @@ TEST(ExplorerDeterminismTest, DporIdenticalAcrossJobs)
         EXPECT_EQ(reportText(w.program, seq),
                   reportText(w.program, par))
             << name;
-        EXPECT_EQ(seq.scheduling.distinct_schedules,
-                  par.scheduling.distinct_schedules)
+        EXPECT_EQ(counter(seq, obs::Counter::ClassifyDistinctSchedules),
+                  counter(par, obs::Counter::ClassifyDistinctSchedules))
             << name;
     }
 }
@@ -267,8 +273,8 @@ TEST(ExplorerDeterminismTest, DporIsRunToRunStable)
     PortendResult two =
         runWithExplorer(w, explore::ExploreMode::Dpor, 2);
     EXPECT_EQ(reportText(w.program, one), reportText(w.program, two));
-    EXPECT_EQ(one.scheduling.distinct_schedules,
-              two.scheduling.distinct_schedules);
+    EXPECT_EQ(counter(one, obs::Counter::ClassifyDistinctSchedules),
+              counter(two, obs::Counter::ClassifyDistinctSchedules));
 }
 
 // The batch ledger aggregates the per-cluster distinct-schedule
@@ -277,13 +283,15 @@ TEST(SchedulerStatsTest, DistinctScheduleLedgerSums)
 {
     workloads::Workload w = workloads::buildWorkload("pbzip2");
     PortendResult res = runWith(w, 2);
-    int distinct = 0;
+    std::uint64_t distinct = 0;
     for (const PortendReport &r : res.reports) {
         EXPECT_LE(r.classification.stats.distinct_schedules,
                   r.classification.stats.schedules_explored);
-        distinct += r.classification.stats.distinct_schedules;
+        distinct += static_cast<std::uint64_t>(
+            r.classification.stats.distinct_schedules);
     }
-    EXPECT_EQ(res.scheduling.distinct_schedules, distinct);
+    EXPECT_EQ(counter(res, obs::Counter::ClassifyDistinctSchedules),
+              distinct);
 }
 
 // classifyRace now reuses the facade's analyzer (and its hoisted
