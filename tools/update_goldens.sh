@@ -41,4 +41,4 @@ done < tests/golden/run/configs.txt
 
 echo
 echo "Goldens regenerated. Review the diff before committing:"
-git --no-pager diff --stat -- tests/golden || true
+git --no-pager status --short -- tests/golden || true
