@@ -14,8 +14,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <functional>
+#include <map>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "explore/explorer.h"
@@ -24,6 +29,7 @@
 #include "portend/render.h"
 #include "rt/interpreter.h"
 #include "rt/policy.h"
+#include "support/hash.h"
 #include "support/observe.h"
 #include "workloads/registry.h"
 
@@ -121,10 +127,12 @@ lockedWriters()
 }
 
 /** Run the whole program under a guided prefix + rotate fallback
- *  (the same completion the analyzer's guided alternates use). */
+ *  (the same completion the analyzer's guided alternates use).
+ *  Expects a clean exit unless @p outcome is given to receive it. */
 rt::ScheduleObservation
 runGuided(const ir::Program &p,
-          const std::vector<rt::ThreadId> &prefix)
+          const std::vector<rt::ThreadId> &prefix,
+          rt::RunOutcome *outcome = nullptr)
 {
     rt::ExecOptions eo;
     eo.preempt_on_memory = true;
@@ -134,7 +142,10 @@ runGuided(const ir::Program &p,
     rt::GuidedPolicy pol(prefix, &rotate);
     interp.setPolicy(&pol);
     rt::RunOutcome oc = interp.run();
-    EXPECT_EQ(oc, rt::RunOutcome::Exited);
+    if (outcome != nullptr)
+        *outcome = oc;
+    else
+        EXPECT_EQ(oc, rt::RunOutcome::Exited);
     return pol.takeObservation();
 }
 
@@ -408,6 +419,143 @@ racyStaggered()
     m.outputStr("done");
     m.halt();
     return pb.build();
+}
+
+/** 16 lowercase hex digits, the signature-hash spelling. */
+std::string
+hex16(std::uint64_t h)
+{
+    char buf[17];
+    std::snprintf(buf, sizeof buf, "%016llx",
+                  static_cast<unsigned long long>(h));
+    return buf;
+}
+
+/**
+ * Brute-force Foata signature: each level is one past the deepest
+ * earlier event it depends on, found by an O(n^2) scan with
+ * ScheduleObservation::dependent; levels are then sorted and spelled
+ * as explore::canonicalSignature documents. The reference the
+ * explorer's own level computation is checked against.
+ */
+std::string
+referenceSignature(const rt::ScheduleObservation &obs)
+{
+    const auto &ev = obs.accesses;
+    std::vector<int> level(ev.size(), 0);
+    for (std::size_t i = 0; i < ev.size(); ++i) {
+        for (std::size_t j = 0; j < i; ++j) {
+            if (rt::ScheduleObservation::dependent(ev[j], ev[i]))
+                level[i] = std::max(level[i], level[j] + 1);
+        }
+    }
+    std::vector<std::tuple<int, rt::ThreadId, int, bool>> keys;
+    for (std::size_t i = 0; i < ev.size(); ++i)
+        keys.emplace_back(level[i], ev[i].tid, ev[i].site, ev[i].write);
+    std::sort(keys.begin(), keys.end());
+    std::string out;
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+        const auto &[lv, tid, site, write] = keys[i];
+        if (i > 0)
+            out += std::get<0>(keys[i - 1]) == lv ? "," : "|";
+        out += "t" + std::to_string(tid) + (write ? "w" : "r") +
+               std::to_string(site);
+    }
+    return out;
+}
+
+/** The explorer-sequence programs: every registry workload, the
+ *  three exhaustive gadgets and racyStaggered. */
+std::vector<ir::Program>
+sequencePrograms()
+{
+    std::vector<ir::Program> programs;
+    for (const std::string &name : workloads::workloadNames())
+        programs.push_back(workloads::buildWorkload(name).program);
+    for (ir::Program p : {crossWriters(), staggeredWriters(),
+                          lockedWriters(), racyStaggered()})
+        programs.push_back(std::move(p));
+    return programs;
+}
+
+/**
+ * Drive one dpor explorer (no random phase, budget 32, default
+ * preemption bound) over whole-program guided runs of @p p, handing
+ * each observation to @p visit. Returns a digest folding every
+ * issued prefix, every record() result and every lastSignature().
+ */
+std::string
+exploreSequence(
+    const ir::Program &p,
+    const std::function<void(const rt::ScheduleObservation &)> &visit)
+{
+    explore::ExplorerOptions xo;
+    xo.mode = explore::ExploreMode::Dpor;
+    xo.budget = 32;
+    xo.random_first = false;
+    explore::ScheduleExplorer ex(xo);
+    std::uint64_t h = kFnvOffset;
+    while (std::optional<explore::PostSpec> spec = ex.next()) {
+        h = hashCombine(h, spec->prefix.size());
+        for (rt::ThreadId t : spec->prefix)
+            h = hashCombine(h, static_cast<std::uint64_t>(t));
+        rt::RunOutcome oc = rt::RunOutcome::Exited;
+        rt::ScheduleObservation obs = runGuided(p, spec->prefix, &oc);
+        visit(obs);
+        h = hashCombine(h, ex.record(obs) ? 1 : 0);
+        h = fnv1a(ex.lastSignature(), h);
+    }
+    h = hashCombine(h, static_cast<std::uint64_t>(ex.runs()));
+    h = hashCombine(h, static_cast<std::uint64_t>(ex.distinct()));
+    return hex16(h);
+}
+
+// The explorer is pure bookkeeping, so its issued schedules and the
+// signatures it computes are a fixed function of the programs. These
+// digests pin that function: a faster explorer must issue the same
+// prefixes, in the same order, and reach the same verdict on every
+// record().
+TEST(ExplorerSequenceTest, IssuedSchedulesAndSignaturesArePinned)
+{
+    const std::map<std::string, std::string> pinned = {
+        {"AVV", "e4938267c4e7e4ee"},
+        {"DBM", "13d82c7dcefbe483"},
+        {"DCL", "88fa3801109c9c99"},
+        {"RW", "f9e376f79f4a5b58"},
+        {"bbuf", "5fce7b0a101c6a04"},
+        {"cross", "df81ea29ef19c5f8"},
+        {"ctrace", "1aae7cc982a2fd5d"},
+        {"fmm", "049233c7c47f03f8"},
+        {"locked", "b29db43022d3ba74"},
+        {"memcached", "a2d629b225ed79e2"},
+        {"ocean", "90e24b177a47ba19"},
+        {"pbzip2", "273a42fa49dd96e9"},
+        {"racy_staggered", "422ec5758cf861f1"},
+        {"sqlite", "50bb5d136a99d243"},
+        {"staggered", "b136782e43e0c342"},
+    };
+    std::map<std::string, std::string> got;
+    for (const ir::Program &p : sequencePrograms())
+        got[p.name] = exploreSequence(p, [](const auto &) {});
+    EXPECT_EQ(got, pinned);
+}
+
+// Over the same observations, the hash is the FNV-1a of the
+// canonical signature, and the signature's Foata levels are the
+// brute-force ones.
+TEST(SignatureTest, MatchesBruteForceLevelsOnExploredRuns)
+{
+    int checked = 0;
+    for (const ir::Program &p : sequencePrograms()) {
+        exploreSequence(p, [&](const rt::ScheduleObservation &obs) {
+            const std::string sig = explore::canonicalSignature(obs);
+            EXPECT_EQ(sig, referenceSignature(obs)) << p.name;
+            EXPECT_EQ(explore::signatureHash(obs), hex16(fnv1a(sig)))
+                << p.name;
+            checked += 1;
+        });
+    }
+    EXPECT_GT(checked, 0);
 }
 
 PortendResult
