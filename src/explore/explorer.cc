@@ -1,6 +1,7 @@
 #include "explore/explorer.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 
 #include "support/hash.h"
@@ -21,24 +22,106 @@ exploreModeName(ExploreMode m)
     return "?";
 }
 
-std::string
-canonicalSignature(const rt::ScheduleObservation &obs)
-{
-    using Access = rt::ScheduleObservation::Access;
-    const std::vector<Access> &ev = obs.accesses;
+namespace {
 
-    // Foata layering: an event's level is one past the deepest event
-    // it depends on. Events sharing a level are pairwise independent
-    // by construction, so sorting a level is pure canonicalization.
-    std::vector<int> level(ev.size(), 0);
-    for (std::size_t i = 0; i < ev.size(); ++i) {
-        int lv = 0;
-        for (std::size_t j = 0; j < i; ++j) {
-            if (rt::ScheduleObservation::dependent(ev[j], ev[i]))
-                lv = std::max(lv, level[j] + 1);
-        }
-        level[i] = lv;
+using Access = rt::ScheduleObservation::Access;
+
+/** One PrefixHash step: FNV-1a over a 32-bit word. */
+std::size_t
+foldThread(std::size_t h, rt::ThreadId t)
+{
+    return static_cast<std::size_t>(
+        (h ^ static_cast<std::uint32_t>(t)) * kFnvPrime);
+}
+
+/**
+ * Dense ids for int keys, in first-appearance order: a flat
+ * open-addressing table with room for @p capacity distinct keys (one
+ * allocation, expected constant time per lookup).
+ */
+class DenseIds
+{
+  public:
+    explicit DenseIds(std::size_t capacity)
+    {
+        while ((std::size_t{1} << bits) < 2 * capacity)
+            bits += 1;
+        slots.resize(std::size_t{1} << bits);
     }
+
+    int
+    operator()(int key)
+    {
+        const std::size_t mask = slots.size() - 1;
+        // Fibonacci hashing: the product's top bits pick the slot.
+        std::size_t h =
+            (static_cast<std::uint32_t>(key) * 0x9e3779b9u) >> (32 - bits);
+        while (slots[h].id >= 0 && slots[h].key != key)
+            h = (h + 1) & mask;
+        if (slots[h].id < 0)
+            slots[h] = {key, count++};
+        return slots[h].id;
+    }
+
+  private:
+    struct Slot
+    {
+        int key = 0;
+        int id = -1;
+    };
+    std::vector<Slot> slots;
+    unsigned bits = 4;
+    int count = 0;
+};
+
+/**
+ * The events of ev[0, n) chained by an int key, each chain in
+ * ascending event order: first(i) is the earliest event sharing
+ * event i's key, next(k) the one after event k (or -1).
+ */
+class Chains
+{
+  public:
+    template <class Key>
+    Chains(const std::vector<Access> &ev, std::size_t n, Key key)
+        : head(n), succ(n, -1)
+    {
+        DenseIds ids(n);
+        std::vector<int> ends(2 * n, -1); // first, then last, per id
+        for (std::size_t i = 0; i < n; ++i) {
+            const auto id = static_cast<std::size_t>(ids(key(ev[i])));
+            int &first = ends[id];
+            int &last = ends[n + id];
+            if (first < 0)
+                first = static_cast<int>(i);
+            else
+                succ[static_cast<std::size_t>(last)] = static_cast<int>(i);
+            last = static_cast<int>(i);
+            head[i] = first;
+        }
+    }
+
+    int first(std::size_t i) const { return head[i]; }
+    int next(int k) const { return succ[static_cast<std::size_t>(k)]; }
+
+  private:
+    std::vector<int> head;
+    std::vector<int> succ;
+};
+
+/**
+ * Spell the Foata normal form through @p emit(const char *, size_t):
+ * events sorted by (level, thread, site, write), '|' between levels,
+ * ',' within one, each event as t<tid>{w,r}<site>. Events sharing a
+ * level are pairwise independent by construction, so sorting a level
+ * is pure canonicalization.
+ */
+template <class Emit>
+void
+spellSignature(const rt::ScheduleObservation &obs, Emit &&emit)
+{
+    const std::vector<Access> &ev = obs.accesses;
+    const std::size_t n = ev.size();
 
     struct Key
     {
@@ -59,38 +142,99 @@ canonicalSignature(const rt::ScheduleObservation &obs)
             return write < o.write;
         }
     };
+
+    // Foata levels in one pass: an event's level is one past the
+    // deepest earlier event it depends on (see
+    // ScheduleObservation::dependent), which is the deepest of the
+    // same thread's earlier events and, on its site, of every earlier
+    // access (for a write) or every earlier write (for a read). So
+    // three running maxima per thread or site replace the pairwise
+    // scan.
+    DenseIds thread_id(n);
+    DenseIds site_id(n);
+    std::vector<int> tops(3 * n, -1);
+    int *thread_top = tops.data();
+    int *access_top = thread_top + n;
+    int *write_top = access_top + n;
     std::vector<Key> keys;
-    keys.reserve(ev.size());
-    for (std::size_t i = 0; i < ev.size(); ++i)
-        keys.push_back({level[i], ev[i].tid, ev[i].site, ev[i].write});
+    keys.reserve(n);
+    for (const Access &a : ev) {
+        int &tt = thread_top[thread_id(a.tid)];
+        int &at = access_top[site_id(a.site)];
+        int &wt = write_top[site_id(a.site)];
+        const int lv = std::max(tt, a.write ? at : wt) + 1;
+        tt = lv;
+        at = std::max(at, lv);
+        if (a.write)
+            wt = lv;
+        keys.push_back({lv, a.tid, a.site, a.write});
+    }
     std::sort(keys.begin(), keys.end());
 
-    std::string out;
-    out.reserve(keys.size() * 10);
+    char buf[32];
     int cur = -1;
     for (const Key &k : keys) {
+        char *out = buf;
         if (k.level != cur) {
             if (cur >= 0)
-                out += '|';
+                *out++ = '|';
             cur = k.level;
         } else {
-            out += ',';
+            *out++ = ',';
         }
-        out += 't' + std::to_string(k.tid) + (k.write ? "w" : "r") +
-               std::to_string(k.site);
+        *out++ = 't';
+        out = std::to_chars(out, buf + sizeof buf, k.tid).ptr;
+        *out++ = k.write ? 'w' : 'r';
+        out = std::to_chars(out, buf + sizeof buf, k.site).ptr;
+        emit(buf, static_cast<std::size_t>(out - buf));
     }
+}
+
+} // namespace
+
+std::string
+canonicalSignature(const rt::ScheduleObservation &obs)
+{
+    std::string out;
+    out.reserve(obs.accesses.size() * 10);
+    spellSignature(obs, [&](const char *s, std::size_t n) {
+        out.append(s, n);
+    });
     return out;
 }
 
 std::string
 signatureHash(const rt::ScheduleObservation &obs)
 {
-    const std::string sig = canonicalSignature(obs);
-    const std::uint64_t h = fnv1a(sig);
+    // Streams FNV-1a over the canonicalSignature bytes.
+    std::uint64_t h = kFnvOffset;
+    spellSignature(obs, [&](const char *s, std::size_t n) {
+        h = fnv1a(s, n, h);
+    });
     char buf[17];
     std::snprintf(buf, sizeof buf, "%016llx",
                   static_cast<unsigned long long>(h));
     return buf;
+}
+
+std::size_t
+ScheduleExplorer::PrefixHash::operator()(const Prefix &prefix) const
+{
+    std::size_t h = static_cast<std::size_t>(kFnvOffset);
+    for (rt::ThreadId t : prefix)
+        h = foldThread(h, t);
+    return h;
+}
+
+bool
+ScheduleExplorer::PrefixEq::operator()(const PrefixView &v,
+                                       const Prefix &b) const
+{
+    if (b.size() != v.len + static_cast<std::size_t>(v.chunk) ||
+        !std::equal(v.head, v.head + v.len, b.begin()))
+        return false;
+    return std::all_of(b.begin() + static_cast<long>(v.len), b.end(),
+                       [&](rt::ThreadId t) { return t == v.tid; });
 }
 
 ScheduleExplorer::ScheduleExplorer(ExplorerOptions o) : opts(o)
@@ -135,20 +279,19 @@ ScheduleExplorer::next()
         exhausted_ = true;
         return std::nullopt;
     }
-    Candidate c = std::move(frontier.front());
+    const Candidate c = frontier.front();
     frontier.pop_front();
     runs_ += 1;
     last_preemptions_ = c.preemptions;
-    return PostSpec::guided(std::move(c.prefix));
+    return PostSpec::guided(*c.prefix);
 }
 
 bool
 ScheduleExplorer::record(const rt::ScheduleObservation &obs)
 {
     // The span covers expand(): DPOR backtrack-candidate generation
-    // is the quadratic part worth seeing in a trace. (Fully
-    // qualified: the observation parameter shadows the obs
-    // namespace here.)
+    // is the part worth seeing in a trace. (Fully qualified: the
+    // observation parameter shadows the obs namespace here.)
     ::portend::obs::Span span("explore", "record");
     last_sig_ = signatureHash(obs);
     const bool fresh = seen_.insert(last_sig_).second;
@@ -172,30 +315,58 @@ ScheduleExplorer::record(const rt::ScheduleObservation &obs)
 }
 
 void
-ScheduleExplorer::push(std::vector<rt::ThreadId> prefix, int preemptions)
+ScheduleExplorer::push(Prefix prefix, int preemptions)
 {
-    if (!issued_.insert(prefix).second)
+    auto [it, fresh] = issued_.insert(std::move(prefix));
+    if (!fresh)
         return; // sleep-set pruning: one execution per prefix, ever
-    frontier.push_back({std::move(prefix), preemptions});
+    frontier.push_back({&*it, preemptions});
 }
 
 void
 ScheduleExplorer::expand(const rt::ScheduleObservation &obs,
                          int base_preempt)
 {
-    using Access = rt::ScheduleObservation::Access;
     const std::vector<Access> &ev = obs.accesses;
     // Guard against pathological runs (spin loops under a random
-    // schedule): candidate generation is quadratic in the window.
+    // schedule): the pairs on one hot site grow quadratically with
+    // the window.
     const std::size_t window = std::min<std::size_t>(ev.size(), 512);
 
+    // Only same-site pairs can conflict, and a chunk counts one
+    // thread's events: chain the window by site and by thread once.
+    const Chains sites(ev, window, [](const Access &a) { return a.site; });
+    const Chains threads(ev, window, [](const Access &a) { return a.tid; });
+
+    // Every child is picks[0, p) followed by `chunk` copies of one
+    // thread, so (p, thread, chunk) names it. A triple already tried,
+    // in this call or an earlier one, is found in issued_ by a probe
+    // hashed from the picks' prefix hashes, before any copy is made.
+    std::vector<std::size_t> head_hash(obs.picks.size() + 1,
+                                       static_cast<std::size_t>(kFnvOffset));
+    for (std::size_t k = 0; k < obs.picks.size(); ++k)
+        head_hash[k + 1] = foldThread(head_hash[k], obs.picks[k]);
+    auto pushChild = [&](std::size_t p, rt::ThreadId t, int chunk) {
+        PrefixView v{obs.picks.data(), p, t, chunk, head_hash[p]};
+        for (int c = 0; c < chunk; ++c)
+            v.hash = foldThread(v.hash, t);
+        if (issued_.find(v) != issued_.end())
+            return;
+        Prefix child;
+        child.reserve(p + static_cast<std::size_t>(chunk));
+        child.assign(obs.picks.begin(),
+                     obs.picks.begin() + static_cast<long>(p));
+        child.insert(child.end(), static_cast<std::size_t>(chunk), t);
+        push(std::move(child), base_preempt + 1);
+    };
+
+    // Pairs (i, j), i < j, in (j ascending, i ascending) order.
     for (std::size_t j = 1; j < window; ++j) {
-        for (std::size_t i = 0; i < j; ++i) {
-            const Access &a = ev[i];
-            const Access &b = ev[j];
-            if (a.tid == b.tid || a.pick < 0)
-                continue;
-            if (a.site != b.site || !(a.write || b.write))
+        const Access &b = ev[j];
+        for (int i = sites.first(j); i < static_cast<int>(j);
+             i = sites.next(i)) {
+            const Access &a = ev[static_cast<std::size_t>(i)];
+            if (a.tid == b.tid || a.pick < 0 || !(a.write || b.write))
                 continue;
 
             // Backtrack: at the decision that ran `a`, run `b`'s
@@ -210,9 +381,6 @@ ScheduleExplorer::expand(const rt::ScheduleObservation &obs,
             const std::size_t p = static_cast<std::size_t>(a.pick);
             if (p >= obs.picks.size() || p >= obs.enabled.size())
                 continue;
-            std::vector<rt::ThreadId> base(obs.picks.begin(),
-                                           obs.picks.begin() +
-                                               static_cast<long>(p));
             const std::vector<rt::ThreadId> &en = obs.enabled[p];
             const bool b_enabled =
                 std::find(en.begin(), en.end(), b.tid) != en.end();
@@ -220,21 +388,16 @@ ScheduleExplorer::expand(const rt::ScheduleObservation &obs,
                 // One pick per pending b-segment up to (and
                 // including) the conflicting access itself.
                 int chunk = 1;
-                for (std::size_t k = 0; k < j; ++k) {
-                    if (ev[k].tid == b.tid && ev[k].pick >= a.pick)
+                for (int k = threads.first(j); k < static_cast<int>(j);
+                     k = threads.next(k)) {
+                    if (ev[static_cast<std::size_t>(k)].pick >= a.pick)
                         chunk += 1;
                 }
-                std::vector<rt::ThreadId> child = base;
-                child.insert(child.end(),
-                             static_cast<std::size_t>(chunk), b.tid);
-                push(std::move(child), base_preempt + 1);
+                pushChild(p, b.tid, chunk);
             } else {
                 for (rt::ThreadId t : en) {
-                    if (t == obs.picks[p])
-                        continue;
-                    std::vector<rt::ThreadId> child = base;
-                    child.push_back(t);
-                    push(std::move(child), base_preempt + 1);
+                    if (t != obs.picks[p])
+                        pushChild(p, t, 1);
                 }
             }
         }

@@ -47,6 +47,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "rt/policy.h"
@@ -210,22 +211,62 @@ class ScheduleExplorer
     const std::set<std::string> &signatures() const { return seen_; }
 
   private:
+    using Prefix = std::vector<rt::ThreadId>;
+
     /** One not-yet-executed systematic schedule. */
     struct Candidate
     {
-        std::vector<rt::ThreadId> prefix;
+        const Prefix *prefix = nullptr; ///< its entry in issued_
         int preemptions = 0;
+    };
+
+    /**
+     * A candidate prefix before it is built: head[0, len) followed by
+     * @p chunk copies of @p tid, with its PrefixHash precomputed, so
+     * issued_ can be probed without copying anything.
+     */
+    struct PrefixView
+    {
+        const rt::ThreadId *head = nullptr;
+        std::size_t len = 0;
+        rt::ThreadId tid = -1;
+        int chunk = 0;
+        std::size_t hash = 0;
+    };
+
+    /** FNV-1a over a prefix's thread ids, one word per id. */
+    struct PrefixHash
+    {
+        using is_transparent = void;
+        std::size_t operator()(const Prefix &prefix) const;
+        std::size_t operator()(const PrefixView &v) const { return v.hash; }
+    };
+
+    /** Exact element-wise equality between built and unbuilt prefixes. */
+    struct PrefixEq
+    {
+        using is_transparent = void;
+        bool operator()(const Prefix &a, const Prefix &b) const
+        {
+            return a == b;
+        }
+        bool operator()(const PrefixView &v, const Prefix &b) const;
+        bool operator()(const Prefix &a, const PrefixView &v) const
+        {
+            return (*this)(v, a);
+        }
     };
 
     /** Grow the frontier from one observed run. */
     void expand(const rt::ScheduleObservation &obs, int base_preempt);
 
     /** Enqueue a candidate unless its prefix was issued before. */
-    void push(std::vector<rt::ThreadId> prefix, int preemptions);
+    void push(Prefix prefix, int preemptions);
 
     ExplorerOptions opts;
     std::deque<Candidate> frontier;
-    std::set<std::vector<rt::ThreadId>> issued_;
+    /** Every prefix ever enqueued (node-based: Candidate points in). */
+    std::unordered_set<Prefix, PrefixHash, PrefixEq> issued_;
     std::set<std::string> seen_;
     std::string last_sig_;
     int random_issued_ = 0;

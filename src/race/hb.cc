@@ -43,7 +43,6 @@ HbDetector::handleAccess(const rt::Event &ev, bool is_write)
     acc.occurrence = ev.occurrence;
     acc.cell_occurrence = ev.cell_occurrence;
     acc.step = ev.step;
-    acc.loc = ev.loc;
 
     auto &hist = history[ev.cell];
     for (const auto &old : hist) {

@@ -45,7 +45,6 @@ LocksetDetector::onEvent(const rt::Event &ev)
     acc.occurrence = ev.occurrence;
     acc.cell_occurrence = ev.cell_occurrence;
     acc.step = ev.step;
-    acc.loc = ev.loc;
 
     const std::set<int> &mine = held[ev.tid];
     if (!cs.lockset_valid) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <sstream>
+#include <tuple>
 
 namespace portend::race {
 
@@ -25,9 +26,10 @@ RaceReport::describe(const ir::Program &p) const
        << (second.is_write ? "WRITE" : "READ") << "\n";
     os << "  racing thread id: " << first.tid << ": "
        << (first.is_write ? "WRITE" : "READ") << "\n";
-    os << "  Current thread at: " << second.loc.toString() << " (pc"
+    os << "  Current thread at: " << p.instAt(second.pc).loc.toString()
+       << " (pc"
        << second.pc << ")\n";
-    os << "  Previous at: " << first.loc.toString() << " (pc"
+    os << "  Previous at: " << p.instAt(first.pc).loc.toString() << " (pc"
        << first.pc << ")\n";
     return os.str();
 }
@@ -36,9 +38,13 @@ std::vector<RaceCluster>
 clusterRaces(const std::vector<RaceReport> &reports)
 {
     std::vector<RaceCluster> out;
-    std::map<std::string, std::size_t> index;
+    // Keyed like key(): (cell, low pc, high pc).
+    std::map<std::tuple<int, int, int>, std::size_t> index;
     for (const auto &r : reports) {
-        auto [it, inserted] = index.emplace(r.key(), out.size());
+        auto [it, inserted] = index.emplace(
+            std::make_tuple(r.cell, std::min(r.first.pc, r.second.pc),
+                            std::max(r.first.pc, r.second.pc)),
+            out.size());
         if (inserted) {
             RaceCluster c;
             c.representative = r;

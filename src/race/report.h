@@ -30,7 +30,6 @@ struct RaceAccess
     std::uint64_t occurrence = 0; ///< nth dynamic execution of (tid, pc)
     std::uint64_t cell_occurrence = 0; ///< nth access of (tid, cell)
     std::uint64_t step = 0;       ///< global step of the access
-    ir::SourceLoc loc;
 };
 
 /** A dynamic race occurrence: two unordered conflicting accesses. */
@@ -50,7 +49,7 @@ struct RaceReport
 /** A static race with its dynamic occurrence count. */
 struct RaceCluster
 {
-    RaceReport representative; ///< first occurrence observed
+    RaceReport representative; ///< latest occurrence observed
     int instances = 0;         ///< dynamic occurrences
 };
 

@@ -123,20 +123,20 @@ AlternatePolicy::pick(const rt::VmState &state,
     // Hold the original first accessor; drive the second accessor
     // toward its racing access.
     hold_picks += 1;
-    std::vector<rt::ThreadId> allowed;
-    for (rt::ThreadId t : runnable) {
-        if (t != race.first.tid)
-            allowed.push_back(t);
+    const rt::ThreadId *other = nullptr;
+    for (const rt::ThreadId &t : runnable) {
+        if (t == race.first.tid)
+            continue;
+        if (t == race.second.tid)
+            return t;
+        if (other == nullptr)
+            other = &t;
     }
-    if (allowed.empty()) {
+    if (other == nullptr) {
         starved_ = true;
         return -1;
     }
-    for (rt::ThreadId t : allowed) {
-        if (t == race.second.tid)
-            return t;
-    }
-    return allowed.front();
+    return *other;
 }
 
 void

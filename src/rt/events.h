@@ -56,7 +56,6 @@ struct Event
     std::uint64_t cell_occurrence = 0; ///< nth access of (tid, cell)
     ir::SyncId sid = -1;    ///< sync object (sync events)
     ThreadId other = -1;    ///< peer thread (create/join)
-    ir::SourceLoc loc;      ///< pseudo source location
 };
 
 /**

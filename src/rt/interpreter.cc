@@ -345,8 +345,7 @@ Interpreter::tryLock(ThreadId tid, ir::SyncId m)
 }
 
 void
-Interpreter::unlockMutex(ThreadId tid, ir::SyncId m, int pc,
-                         const ir::SourceLoc &loc)
+Interpreter::unlockMutex(ThreadId tid, ir::SyncId m, int pc)
 {
     MutexState &mu = st.mutexes.at(static_cast<std::size_t>(m));
     if (mu.owner != tid) {
@@ -371,7 +370,6 @@ Interpreter::unlockMutex(ThreadId tid, ir::SyncId m, int pc,
         ev.tid = tid;
         ev.pc = pc;
         ev.sid = m;
-        ev.loc = loc;
         publish(std::move(ev));
     }
 }
@@ -403,7 +401,6 @@ Interpreter::exitThread(ThreadId tid)
                 je.tid = joiner.tid;
                 je.other = tid;
                 je.pc = ji.pc;
-                je.loc = ji.loc;
                 publish(std::move(je));
             }
         }
@@ -492,7 +489,6 @@ Interpreter::executeSlow(ThreadId tid, const DecodedInst &di)
             ev.tid = tid;
             ev.pc = di.pc;
             ev.other = child_tid;
-            ev.loc = di.loc;
             publish(std::move(ev));
         }
         break;
@@ -528,7 +524,6 @@ Interpreter::executeSlow(ThreadId tid, const DecodedInst &di)
                 ev.tid = tid;
                 ev.pc = di.pc;
                 ev.other = static_cast<ThreadId>(target);
-                ev.loc = di.loc;
                 publish(std::move(ev));
             }
         } else {
@@ -548,7 +543,6 @@ Interpreter::executeSlow(ThreadId tid, const DecodedInst &di)
                 ev.tid = tid;
                 ev.pc = di.pc;
                 ev.sid = di.sid;
-                ev.loc = di.loc;
                 publish(std::move(ev));
             }
         }
@@ -556,7 +550,7 @@ Interpreter::executeSlow(ThreadId tid, const DecodedInst &di)
       }
 
       case ir::Op::MutexUnlock:
-        unlockMutex(tid, di.sid, di.pc, di.loc);
+        unlockMutex(tid, di.sid, di.pc);
         if (!st.finished())
             advance(st.thread(tid));
         break;
@@ -571,7 +565,7 @@ Interpreter::executeSlow(ThreadId tid, const DecodedInst &di)
                            prog.mutex_names[di.sid2]);
                 return;
             }
-            unlockMutex(tid, di.sid2, di.pc, di.loc);
+            unlockMutex(tid, di.sid2, di.pc);
             if (st.finished())
                 return;
             ThreadState &t2 = st.thread(tid);
@@ -593,14 +587,12 @@ Interpreter::executeSlow(ThreadId tid, const DecodedInst &di)
                     lk.tid = tid;
                     lk.pc = di.pc;
                     lk.sid = di.sid2;
-                    lk.loc = di.loc;
                     publish(std::move(lk));
                     Event ev;
                     ev.kind = EventKind::CondWait;
                     ev.tid = tid;
                     ev.pc = di.pc;
                     ev.sid = di.sid;
-                    ev.loc = di.loc;
                     publish(std::move(ev));
                 }
             }
@@ -630,7 +622,6 @@ Interpreter::executeSlow(ThreadId tid, const DecodedInst &di)
             ev.tid = tid;
             ev.pc = di.pc;
             ev.sid = di.sid;
-            ev.loc = di.loc;
             publish(std::move(ev));
         }
         break;
@@ -662,7 +653,6 @@ Interpreter::executeSlow(ThreadId tid, const DecodedInst &di)
                     ev.tid = w;
                     ev.pc = wi.pc;
                     ev.sid = di.sid;
-                    ev.loc = wi.loc;
                     publish(std::move(ev));
                 }
             }
@@ -674,7 +664,6 @@ Interpreter::executeSlow(ThreadId tid, const DecodedInst &di)
                 ev.tid = tid;
                 ev.pc = di.pc;
                 ev.sid = di.sid;
-                ev.loc = di.loc;
                 publish(std::move(ev));
             }
         }
@@ -784,7 +773,6 @@ Interpreter::executeSlow(ThreadId tid, const DecodedInst &di)
             ev.kind = EventKind::Output;
             ev.tid = tid;
             ev.pc = di.pc;
-            ev.loc = di.loc;
             publish(std::move(ev));
         }
         break;
@@ -1211,7 +1199,6 @@ Interpreter::segment(ThreadId tid, bool first)
             ev.cell = cell;
             ev.occurrence = occ;
             ev.cell_occurrence = cocc;
-            ev.loc = di.loc;
             publish(std::move(ev));
         }
         goto L_post;
@@ -1243,7 +1230,6 @@ Interpreter::segment(ThreadId tid, bool first)
             ev.cell = cell;
             ev.occurrence = occ;
             ev.cell_occurrence = cocc;
-            ev.loc = di.loc;
             publish(std::move(ev));
         }
         goto L_post;
@@ -1281,7 +1267,6 @@ Interpreter::segment(ThreadId tid, bool first)
             r.atomic = true;
             r.occurrence = occ;
             r.cell_occurrence = cocc;
-            r.loc = di.loc;
             Event w = r;
             w.kind = EventKind::MemWrite;
             publish(std::move(r));

@@ -383,8 +383,7 @@ class Interpreter
     bool tryLock(ThreadId tid, ir::SyncId m);
 
     /** Release @p m, waking one waiter (barging semantics). */
-    void unlockMutex(ThreadId tid, ir::SyncId m, int pc,
-                     const ir::SourceLoc &loc);
+    void unlockMutex(ThreadId tid, ir::SyncId m, int pc);
 
     /** Thread exit bookkeeping: wake joiners, maybe end program. */
     void exitThread(ThreadId tid);
