@@ -27,10 +27,9 @@ RaceReport::describe(const ir::Program &p) const
     os << "  racing thread id: " << first.tid << ": "
        << (first.is_write ? "WRITE" : "READ") << "\n";
     os << "  Current thread at: " << p.instAt(second.pc).loc.toString()
-       << " (pc"
-       << second.pc << ")\n";
-    os << "  Previous at: " << p.instAt(first.pc).loc.toString() << " (pc"
-       << first.pc << ")\n";
+       << " (pc" << second.pc << ")\n";
+    os << "  Previous at: " << p.instAt(first.pc).loc.toString()
+       << " (pc" << first.pc << ")\n";
     return os.str();
 }
 
