@@ -209,7 +209,8 @@ signatureHash(const rt::ScheduleObservation &obs)
     // Streams FNV-1a over the canonicalSignature bytes.
     std::uint64_t h = kFnvOffset;
     spellSignature(obs, [&](const char *s, std::size_t n) {
-        h = fnv1a(s, n, h);
+        for (std::size_t i = 0; i < n; ++i)
+            h = fnv1aByte(h, static_cast<std::uint8_t>(s[i]));
     });
     char buf[17];
     std::snprintf(buf, sizeof buf, "%016llx",
@@ -217,23 +218,15 @@ signatureHash(const rt::ScheduleObservation &obs)
     return buf;
 }
 
-std::size_t
-ScheduleExplorer::PrefixHash::operator()(const Prefix &prefix) const
-{
-    std::size_t h = static_cast<std::size_t>(kFnvOffset);
-    for (rt::ThreadId t : prefix)
-        h = foldThread(h, t);
-    return h;
-}
-
 bool
 ScheduleExplorer::PrefixEq::operator()(const PrefixView &v,
-                                       const Prefix &b) const
+                                       const Issued &b) const
 {
-    if (b.size() != v.len + static_cast<std::size_t>(v.chunk) ||
-        !std::equal(v.head, v.head + v.len, b.begin()))
+    const Prefix &p = b.prefix;
+    if (p.size() != v.len + static_cast<std::size_t>(v.chunk) ||
+        !std::equal(v.head, v.head + v.len, p.begin()))
         return false;
-    return std::all_of(b.begin() + static_cast<long>(v.len), b.end(),
+    return std::all_of(p.begin() + static_cast<long>(v.len), p.end(),
                        [&](rt::ThreadId t) { return t == v.tid; });
 }
 
@@ -247,7 +240,9 @@ ScheduleExplorer::ScheduleExplorer(ExplorerOptions o) : opts(o)
     if (opts.mode == ExploreMode::Dpor) {
         // The systematic baseline: no injected preemptions, pure
         // deterministic fallback. Runs after the random phase.
-        push({}, 0);
+        push(PrefixView{nullptr, 0, -1, 0,
+                        static_cast<std::size_t>(kFnvOffset)},
+             0);
     }
 }
 
@@ -315,12 +310,18 @@ ScheduleExplorer::record(const rt::ScheduleObservation &obs)
 }
 
 void
-ScheduleExplorer::push(Prefix prefix, int preemptions)
+ScheduleExplorer::push(const PrefixView &v, int preemptions)
 {
-    auto [it, fresh] = issued_.insert(std::move(prefix));
-    if (!fresh)
+    if (issued_.find(v) != issued_.end())
         return; // sleep-set pruning: one execution per prefix, ever
-    frontier.push_back({&*it, preemptions});
+    Issued e;
+    e.hash = v.hash;
+    e.prefix.reserve(v.len + static_cast<std::size_t>(v.chunk));
+    e.prefix.assign(v.head, v.head + v.len);
+    e.prefix.insert(e.prefix.end(), static_cast<std::size_t>(v.chunk),
+                    v.tid);
+    auto it = issued_.insert(std::move(e)).first;
+    frontier.push_back({&it->prefix, preemptions});
 }
 
 void
@@ -350,14 +351,7 @@ ScheduleExplorer::expand(const rt::ScheduleObservation &obs,
         PrefixView v{obs.picks.data(), p, t, chunk, head_hash[p]};
         for (int c = 0; c < chunk; ++c)
             v.hash = foldThread(v.hash, t);
-        if (issued_.find(v) != issued_.end())
-            return;
-        Prefix child;
-        child.reserve(p + static_cast<std::size_t>(chunk));
-        child.assign(obs.picks.begin(),
-                     obs.picks.begin() + static_cast<long>(p));
-        child.insert(child.end(), static_cast<std::size_t>(chunk), t);
-        push(std::move(child), base_preempt + 1);
+        push(v, base_preempt + 1);
     };
 
     // Pairs (i, j), i < j, in (j ascending, i ascending) order.

@@ -222,8 +222,9 @@ class ScheduleExplorer
 
     /**
      * A candidate prefix before it is built: head[0, len) followed by
-     * @p chunk copies of @p tid, with its PrefixHash precomputed, so
-     * issued_ can be probed without copying anything.
+     * @p chunk copies of @p tid, with its hash (FNV-1a over the thread
+     * ids, one word per id) precomputed, so issued_ can be probed
+     * without copying anything.
      */
     struct PrefixView
     {
@@ -234,11 +235,17 @@ class ScheduleExplorer
         std::size_t hash = 0;
     };
 
-    /** FNV-1a over a prefix's thread ids, one word per id. */
+    /** A built prefix, keeping the hash of the view it came from. */
+    struct Issued
+    {
+        Prefix prefix;
+        std::size_t hash = 0;
+    };
+
     struct PrefixHash
     {
         using is_transparent = void;
-        std::size_t operator()(const Prefix &prefix) const;
+        std::size_t operator()(const Issued &e) const { return e.hash; }
         std::size_t operator()(const PrefixView &v) const { return v.hash; }
     };
 
@@ -246,12 +253,12 @@ class ScheduleExplorer
     struct PrefixEq
     {
         using is_transparent = void;
-        bool operator()(const Prefix &a, const Prefix &b) const
+        bool operator()(const Issued &a, const Issued &b) const
         {
-            return a == b;
+            return a.prefix == b.prefix;
         }
-        bool operator()(const PrefixView &v, const Prefix &b) const;
-        bool operator()(const Prefix &a, const PrefixView &v) const
+        bool operator()(const PrefixView &v, const Issued &b) const;
+        bool operator()(const Issued &a, const PrefixView &v) const
         {
             return (*this)(v, a);
         }
@@ -261,12 +268,12 @@ class ScheduleExplorer
     void expand(const rt::ScheduleObservation &obs, int base_preempt);
 
     /** Enqueue a candidate unless its prefix was issued before. */
-    void push(Prefix prefix, int preemptions);
+    void push(const PrefixView &v, int preemptions);
 
     ExplorerOptions opts;
     std::deque<Candidate> frontier;
     /** Every prefix ever enqueued (node-based: Candidate points in). */
-    std::unordered_set<Prefix, PrefixHash, PrefixEq> issued_;
+    std::unordered_set<Issued, PrefixHash, PrefixEq> issued_;
     std::set<std::string> seen_;
     std::string last_sig_;
     int random_issued_ = 0;
