@@ -26,7 +26,7 @@ namespace {
 
 using Access = rt::ScheduleObservation::Access;
 
-/** One PrefixHash step: FNV-1a over a 32-bit word. */
+/** One step of the prefix hash: FNV-1a over a 32-bit word. */
 std::size_t
 foldThread(std::size_t h, rt::ThreadId t)
 {
