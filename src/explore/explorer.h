@@ -180,6 +180,10 @@ class ScheduleExplorer
   public:
     explicit ScheduleExplorer(ExplorerOptions opts);
 
+    /** Frontier entries point into this explorer's own issued_. */
+    ScheduleExplorer(const ScheduleExplorer &) = delete;
+    ScheduleExplorer &operator=(const ScheduleExplorer &) = delete;
+
     /**
      * The next schedule to execute, or nullopt when the budget is
      * met, the run cap is hit, or the candidate space is exhausted.
