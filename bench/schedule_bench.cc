@@ -1,28 +1,35 @@
 /**
  * @file
  * Schedule-exploration benchmark: distinct interleavings per budget
- * and verdict latency, `random` vs `dpor`.
+ * and verdict latency of the stage-3 explorer, against its own
+ * seeded random phase.
  *
- * Measures what the Ma budget actually buys under each stage-3
- * explorer, over two micro suites:
+ * The explorer first runs Ma seeded random schedules, Portend's
+ * original sampler, then its systematic candidates. The `random`
+ * row counts what a run that stopped after that phase would have
+ * run and witnessed, read off the schedule events (`--progress
+ * jsonl`, kind "random"), and the `dpor` row the whole explorer,
+ * both from one run, over two micro suites:
  *
  *  1. the registry micro workloads (avv, dcl, dbm, rw, bbuf) —
  *     paper-faithful programs whose post-race spaces are small, so
- *     both explorers saturate them (the honest baseline rows);
+ *     the random phase alone saturates them (the honest baseline
+ *     rows);
  *
  *  2. schedule-rich micro programs ("flip gadgets"): workers with
  *     staggered private preambles all appending to one shared log
  *     cell behind a benign anchoring race. Their post-race class
  *     count is combinatorial and uniform sampling is heavily biased
- *     toward short-preamble-first orders — the regime the dpor
- *     explorer exists for.
+ *     toward short-preamble-first orders — the regime the systematic
+ *     phase exists for.
  *
  * Emits one JSON object (BENCH_schedules.json in CI) with
- * per-subject and aggregate distinct-schedule counts and batch
- * classification latency per explorer. Exit status: 0 when, over
- * the schedule-rich gadgets, dpor witnessed >= 2x the distinct
- * post-race interleavings random did at the same Ma budget (and
- * at least as many on every subject), 1 otherwise — CI gates on it.
+ * per-subject and aggregate distinct-schedule counts and the batch
+ * classification latency of the whole explorer. Exit status: 0
+ * when, over the schedule-rich gadgets, the whole explorer witnessed
+ * >= 2x the distinct post-race interleavings its random phase did
+ * (and at least as many on every subject), 1 otherwise — CI gates
+ * on it.
  *
  * Usage: bench_schedule_bench [ma] [gadget_workers] [stride]
  *   ma              schedule budget per primary (default 8)
@@ -37,8 +44,8 @@
 #include <vector>
 
 #include "bench/common.h"
-#include "explore/explorer.h"
 #include "ir/builder.h"
+#include "support/observe.h"
 #include "support/stats.h"
 
 namespace {
@@ -57,11 +64,13 @@ struct Subject
     std::vector<core::SemanticPredicate> semantic_predicates;
 };
 
-/** One (subject, explorer) measurement. */
+/** One subject's stage-3 counts. */
 struct Row
 {
     int explored = 0;  ///< stage-3 schedules run
     int distinct = 0;  ///< Mazurkiewicz-inequivalent ones
+    int random_explored = 0; ///< of them, those a random-only run ran
+    int random_distinct = 0; ///< random-phase ones that were fresh
     double seconds = 0.0; ///< classification batch latency
     std::string classes;  ///< verdict histogram (sanity)
 };
@@ -104,20 +113,37 @@ flipGadget(const std::string &name, int workers, int stride)
 }
 
 Row
-measure(const Subject &s, explore::ExploreMode mode, int ma)
+measure(const Subject &s, int ma)
 {
     core::PortendOptions opts;
     opts.jobs = 1;
     opts.ma = ma;
-    opts.explore = mode;
     opts.semantic_predicates = s.semantic_predicates;
     core::Portend tool(s.program, opts);
+    // The timed run includes the event sink: a few lines per schedule.
+    std::ostringstream events;
+    obs::Progress sink(events);
+    obs::setProgress(&sink);
     Stopwatch sw;
     core::PortendResult res = tool.run();
     Row row;
     row.seconds = sw.seconds() - res.detection.seconds;
+    obs::setProgress(nullptr);
     row.explored = static_cast<int>(
         res.metrics.counter(obs::Counter::ClassifySchedules));
+    // Schedules with no event (stage 1's alternate) ran in a
+    // random-only run too.
+    row.random_explored = row.explored;
+    std::istringstream lines(events.str());
+    for (std::string line; std::getline(lines, line);) {
+        if (line.find("\"event\": \"schedule\"") == std::string::npos)
+            continue;
+        if (line.find("\"kind\": \"random\"") == std::string::npos) {
+            row.random_explored -= 1;
+        } else if (line.find("\"fresh\": true") != std::string::npos) {
+            row.random_distinct += 1;
+        }
+    }
     row.distinct = static_cast<int>(
         res.metrics.counter(obs::Counter::ClassifyDistinctSchedules));
     std::map<std::string, int> hist;
@@ -165,24 +191,21 @@ main(int argc, char **argv)
     js << "  \"subjects\": [\n";
     for (std::size_t i = 0; i < subjects.size(); ++i) {
         const Subject &s = subjects[i];
-        Row rnd = measure(s, explore::ExploreMode::Random, ma);
-        Row dpo = measure(s, explore::ExploreMode::Dpor, ma);
+        const Row row = measure(s, ma);
         if (s.gadget) {
-            gadget_random += rnd.distinct;
-            gadget_dpor += dpo.distinct;
+            gadget_random += row.random_distinct;
+            gadget_dpor += row.distinct;
         }
-        if (dpo.distinct < rnd.distinct)
+        if (row.distinct < row.random_distinct)
             per_subject_ok = false;
         js << "    {\"name\": \"" << s.name << "\", \"gadget\": "
            << (s.gadget ? "true" : "false") << ",\n";
-        js << "     \"random\": {\"explored\": " << rnd.explored
-           << ", \"distinct\": " << rnd.distinct
-           << ", \"seconds\": " << rnd.seconds << ", \"classes\": \""
-           << rnd.classes << "\"},\n";
-        js << "     \"dpor\": {\"explored\": " << dpo.explored
-           << ", \"distinct\": " << dpo.distinct
-           << ", \"seconds\": " << dpo.seconds << ", \"classes\": \""
-           << dpo.classes << "\"}}"
+        js << "     \"random\": {\"explored\": " << row.random_explored
+           << ", \"distinct\": " << row.random_distinct << "},\n";
+        js << "     \"dpor\": {\"explored\": " << row.explored
+           << ", \"distinct\": " << row.distinct
+           << ", \"seconds\": " << row.seconds << ", \"classes\": \""
+           << row.classes << "\"}}"
            << (i + 1 < subjects.size() ? "," : "") << "\n";
     }
     js << "  ],\n";

@@ -11,7 +11,6 @@
 
 #include "campaign/journal.h"
 #include "campaign/queue.h"
-#include "explore/explorer.h"
 #include "ir/serialize.h"
 #include "rt/decode.h"
 #include "support/threadpool.h"
@@ -49,18 +48,6 @@ parseDetector(const std::string &s, core::DetectorKind *out)
         *out = core::DetectorKind::HappensBeforeNoMutex;
     else if (s == "lockset")
         *out = core::DetectorKind::Lockset;
-    else
-        return false;
-    return true;
-}
-
-bool
-parseExplore(const std::string &s, explore::ExploreMode *out)
-{
-    if (s == "dpor")
-        *out = explore::ExploreMode::Dpor;
-    else if (s == "random")
-        *out = explore::ExploreMode::Random;
     else
         return false;
     return true;
@@ -253,7 +240,6 @@ manifestText(const CampaignConfig &config)
     os << "max_steps " << o.max_steps << "\n";
     os << "detection_seed " << o.detection_seed << "\n";
     os << "detector " << detectorName(o.detector) << "\n";
-    os << "explore " << explore::exploreModeName(o.explore) << "\n";
     os << "preemption_bound " << o.preemption_bound << "\n";
     os << "solver.max_assignments " << o.solver.max_assignments
        << "\n";
@@ -335,9 +321,6 @@ parseManifest(const std::string &text, std::string *error)
         } else if (key == "detector") {
             std::string v;
             ok = bool(ls >> v) && parseDetector(v, &o.detector);
-        } else if (key == "explore") {
-            std::string v;
-            ok = bool(ls >> v) && parseExplore(v, &o.explore);
         } else if (key == "preemption_bound") {
             ok = bool(ls >> o.preemption_bound);
         } else if (key == "solver.max_assignments") {

@@ -1,6 +1,5 @@
 #include "campaign/signature.h"
 
-#include "explore/explorer.h"
 #include "support/hash.h"
 
 namespace portend::campaign {
@@ -16,7 +15,7 @@ configHash(const core::PortendOptions &opts, const std::string &salt)
 {
     // Order is part of the hash: append-only, never reorder, so
     // signatures stay stable across builds of the same source.
-    std::uint64_t h = fnv1a(std::string("portend-campaign-config-v2"));
+    std::uint64_t h = fnv1a(std::string("portend-campaign-config-v3"));
     h = hashCombine(h, static_cast<std::uint64_t>(opts.mp));
     h = hashCombine(h, static_cast<std::uint64_t>(opts.ma));
     h = hashCombine(h, opts.adhoc_detection ? 1 : 0);
@@ -34,7 +33,6 @@ configHash(const core::PortendOptions &opts, const std::string &salt)
     h = hashCombine(h, opts.max_steps);
     h = hashCombine(h, opts.detection_seed);
     h = hashCombine(h, static_cast<std::uint64_t>(opts.detector));
-    h = fnv1a(std::string(explore::exploreModeName(opts.explore)), h);
     h = hashCombine(h, static_cast<std::uint64_t>(opts.preemption_bound));
     h = hashCombine(h,
                     static_cast<std::uint64_t>(opts.semantic_predicates.size()));

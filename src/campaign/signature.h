@@ -13,8 +13,8 @@
  *    the exact recorded schedule + input log the classification
  *    consumed;
  *  - the config hash: every PortendOptions dial that can change a
- *    verdict or the rendered report bytes (explorer, Mp/Ma,
- *    detector, symbolic-input selection, budgets, seeds), plus a
+ *    verdict or the rendered report bytes (Mp/Ma, detector,
+ *    symbolic-input selection, budgets, seeds), plus a
  *    caller-supplied salt for per-unit state the options struct
  *    cannot see (semantic predicates travel by workload name; the
  *    render mode travels with the caller).

@@ -10,18 +10,6 @@
 
 namespace portend::explore {
 
-const char *
-exploreModeName(ExploreMode m)
-{
-    switch (m) {
-      case ExploreMode::Random:
-        return "random";
-      case ExploreMode::Dpor:
-        return "dpor";
-    }
-    return "?";
-}
-
 namespace {
 
 using Access = rt::ScheduleObservation::Access;
@@ -237,31 +225,17 @@ ScheduleExplorer::ScheduleExplorer(ExplorerOptions o) : opts(o)
     // Pre-seed classes witnessed by earlier explorers so distinct_
     // only counts globally-new ones (per-path budget sharing).
     seen_ = opts.known;
-    if (opts.mode == ExploreMode::Dpor) {
-        // The systematic baseline: no injected preemptions, pure
-        // deterministic fallback. Runs after the random phase.
-        push(PrefixView{nullptr, 0, -1, 0,
-                        static_cast<std::size_t>(kFnvOffset)},
-             0);
-    }
+    // The systematic baseline: no injected preemptions, pure
+    // deterministic fallback. Runs after the random phase.
+    push(PrefixView{nullptr, 0, -1, 0, static_cast<std::size_t>(kFnvOffset)},
+         0);
 }
 
 std::optional<PostSpec>
 ScheduleExplorer::next()
 {
-    if (opts.mode == ExploreMode::Random) {
-        // Legacy sampling: exactly `budget` runs, duplicates and all.
-        if (runs_ >= opts.budget)
-            return std::nullopt;
-        runs_ += 1;
-        random_issued_ += 1;
-        last_preemptions_ = 0;
-        return PostSpec::random(opts.seed_base + random_issued_);
-    }
-
-    // Dpor: the full random phase always runs (the superset
-    // contract), so a verdict decided there is decided identically
-    // in both modes; only then do budget and cap apply.
+    // The full random phase always runs; only then do budget and
+    // cap apply.
     if (opts.random_first && random_issued_ < opts.budget) {
         runs_ += 1;
         random_issued_ += 1;
@@ -293,10 +267,8 @@ ScheduleExplorer::record(const rt::ScheduleObservation &obs)
     if (fresh)
         distinct_ += 1;
     const std::size_t frontier0 = frontier.size();
-    if (opts.mode == ExploreMode::Dpor &&
-        last_preemptions_ < opts.preemption_bound) {
+    if (last_preemptions_ < opts.preemption_bound)
         expand(obs, last_preemptions_);
-    }
     span.arg("fresh", fresh ? 1 : 0);
     span.arg("candidates",
              static_cast<std::int64_t>(frontier.size() - frontier0));

@@ -4,9 +4,9 @@
  *
  * Portend's stage 3 multiplies witnesses by running Ma alternate
  * executions per primary path. Sampling those schedules from a
- * seeded RNG silently burns budget on duplicate and
+ * seeded RNG alone silently burns budget on duplicate and
  * Mazurkiewicz-equivalent interleavings; the ScheduleExplorer
- * replaces sampling with a systematic enumerator in the spirit of
+ * follows the samples with a systematic enumerator in the spirit of
  * dynamic partial-order reduction:
  *
  *  - every issued schedule is replayable: an explicit decision
@@ -24,14 +24,11 @@
  *    a preemption budget and pruned sleep-set style (a decision
  *    prefix is never issued twice).
  *
- * Mode contract (relied on by the fuzz oracle's monotonicity
- * checks): in Dpor mode the explorer first issues exactly the
- * schedules Random mode would issue, with the same seeds and in the
- * same order, and only then its systematic candidates. A Dpor run
- * therefore explores a superset of the Random run's behaviors at
- * equal budget: switching random -> dpor can move a verdict from
- * "k-witness harmless" toward "output differs"/"spec violated",
- * never the reverse.
+ * Random phase: before its systematic candidates the explorer
+ * issues `budget` seeded random schedules (seeds seed_base + 1,
+ * seed_base + 2, ...), Portend's original Ma samples. They always
+ * run in full, so a verdict that sampling alone decides is decided
+ * there, and the systematic phase only ever adds behaviors.
  *
  * The explorer is pure bookkeeping — it never executes anything and
  * is deterministic given the observations fed back to it, which is
@@ -54,15 +51,8 @@
 
 namespace portend::explore {
 
-/** How stage 3 chooses post-race schedules. */
-enum class ExploreMode : std::uint8_t {
-    Random, ///< legacy seeded sampling (Ma runs, duplicates allowed)
-    Dpor,   ///< the Random schedules, then systematic backtracking
-            ///< until Ma *distinct* interleavings were witnessed
-};
-
-/** Printable mode name (CLI spelling). */
-const char *exploreModeName(ExploreMode m);
+/** Unread; kept because perfbench/driver.cc copies a field of it. */
+enum class ExploreMode : std::uint8_t { Dpor };
 
 /**
  * One post-race schedule to execute.
@@ -125,18 +115,17 @@ std::string signatureHash(const rt::ScheduleObservation &obs);
 /** Explorer configuration. */
 struct ExplorerOptions
 {
-    ExploreMode mode = ExploreMode::Dpor;
-
     /**
-     * Schedule budget (the CLI's Ma): in Random mode the number of
-     * runs; in Dpor mode the number of *distinct* interleavings to
-     * collect before stopping.
+     * Schedule budget (the CLI's Ma): the number of random-phase
+     * runs, and the number of *distinct* interleavings to collect
+     * before stopping.
      */
     int budget = 2;
 
     /**
-     * Hard cap on executed runs in Dpor mode, so a space with fewer
-     * classes than the budget terminates. 0 = 4 * budget + 4.
+     * Hard cap on executed runs, so a space with fewer classes than
+     * the budget terminates. 0 = 4 * budget + 4. The random phase
+     * always runs in full.
      */
     int max_runs = 0;
 
@@ -151,9 +140,9 @@ struct ExplorerOptions
     std::uint64_t seed_base = 0;
 
     /**
-     * Issue the Random-mode schedules before systematic candidates
-     * (the Dpor superset contract above). Tests disable this to
-     * measure pure systematic coverage.
+     * Issue the random phase before systematic candidates (see the
+     * file comment). Tests disable this to measure pure systematic
+     * coverage.
      */
     bool random_first = true;
 

@@ -56,7 +56,6 @@ renderMeta(const CorpusEntry &e)
     os << "fuzz_seed=" << e.fuzz_seed << "\n";
     os << "index=" << e.index << "\n";
     os << "detection_seed=" << e.detection_seed << "\n";
-    os << "explore=" << e.explore << "\n";
     os << "signature=" << e.signature << "\n";
     if (!e.witness.empty())
         os << "witness=" << e.witness << "\n";
@@ -95,8 +94,6 @@ parseMeta(const std::string &text, CorpusEntry &e, std::string *error)
                 e.index = std::stoull(val);
             else if (key == "detection_seed")
                 e.detection_seed = std::stoull(val);
-            else if (key == "explore")
-                e.explore = val;
             else if (key == "signature")
                 e.signature = val;
             else if (key == "witness")
@@ -212,14 +209,6 @@ replayEntry(const CorpusEntry &entry, const OracleOptions &opts)
 
     OracleOptions o = opts;
     o.detection_seed = entry.detection_seed;
-    // A recorded signature names the behavior of one exact explorer
-    // (explorers legitimately differ where dpor's superset upgrades
-    // a k-witness verdict); replay under the pinned one. The deep
-    // checks still cross-validate the other explorer.
-    if (entry.explore == "random")
-        o.explore = explore::ExploreMode::Random;
-    else if (entry.explore == "dpor")
-        o.explore = explore::ExploreMode::Dpor;
     // Disagreement reproducers falsified a specific check; re-run
     // the full battery so deep checks can be re-evaluated.
     o.deep = o.deep || entry.kind == "disagreement";

@@ -51,18 +51,6 @@ struct CorpusEntry
     std::uint64_t index = 0;       ///< program index in the campaign
     std::uint64_t detection_seed = 1; ///< schedule seed to replay with
 
-    /**
-     * Stage-3 explorer the signature was recorded under ("random" |
-     * "dpor"; "" = whatever the replay requests). Pinned like
-     * detection_seed: a signature names the behavior of one exact
-     * configuration, and explorers legitimately differ on races the
-     * dpor superset upgrades from "k-witness harmless" to a
-     * decisive class. The oracle battery (including the
-     * cross-explorer monotonicity checks) still runs under the
-     * replay's requested explorer.
-     */
-    std::string explore;
-
     std::string signature;         ///< expected oracle signature
 
     /** Solver-concretized witness inputs of the deep symbolic run

@@ -64,14 +64,12 @@ struct CampaignState
 std::uint64_t
 oracleConfigHash(const OracleOptions &o)
 {
-    std::string s = "portend-fuzz-oracle-v2";
+    std::string s = "portend-fuzz-oracle-v3";
     s += ";seed=" + std::to_string(o.detection_seed);
     s += ";mp=" + std::to_string(o.mp);
     s += ";ma=" + std::to_string(o.ma);
     s += ";max_steps=" + std::to_string(o.max_steps);
     s += ";states=" + std::to_string(o.executor_max_states);
-    s += ";explore=";
-    s += explore::exploreModeName(o.explore);
     s += ";deep=";
     s += o.deep ? "1" : "0";
     return fnv1a(s);
@@ -200,7 +198,6 @@ persistEntry(const ProgramRecipe &recipe, const OracleVerdict &v,
     entry.fuzz_seed = opts.fuzz_seed;
     entry.index = index;
     entry.detection_seed = opts.detection_seed;
-    entry.explore = explore::exploreModeName(opts.oracle.explore);
     entry.signature = v.signature();
     entry.witness = v.witness_text;
     entry.recipe_text = recipe.serialize();

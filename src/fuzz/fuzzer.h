@@ -49,9 +49,9 @@ struct FuzzOptions
      * Campaign directory ("" = ephemeral run, nothing persisted).
      * When set, every index's oracle verdict is stored in a
      * campaign::VerdictCache under its signature — program
-     * fingerprint + oracle-config hash (seed, budgets, explorer,
-     * deep flag); the trace-hash slot is 0 because the oracle owns
-     * its own detection run — and journaled on completion. A re-run
+     * fingerprint + oracle-config hash (seed, budgets, deep flag);
+     * the trace-hash slot is 0 because the oracle owns its own
+     * detection run — and journaled on completion. A re-run
      * or resumed campaign regenerates each program (generation is
      * cheap and deterministic) but skips the oracle for every
      * already-cached signature, which is where all the time goes.

@@ -22,12 +22,10 @@
  *  - k-monotonicity: a "spec violated" verdict found by single-path
  *    single-schedule analysis is still found at a larger budget, and
  *    kWitnessHarmless k never shrinks as the budget grows;
- *  - schedule-coverage monotonicity: raising the Ma budget, or
- *    switching the stage-3 explorer from `random` to `dpor`, never
- *    loses a "spec violated" verdict — the dpor explorer runs the
- *    random explorer's schedules first (same seeds, same order)
- *    before its systematic candidates, so it witnesses a superset
- *    of behaviors at equal budget;
+ *  - schedule-coverage monotonicity: raising the Ma budget never
+ *    loses a "spec violated" verdict — the stage-3 explorer's
+ *    random phase at 2 * Ma starts with the seeded runs of the
+ *    phase at Ma, so it witnesses a superset of behaviors;
  *  - sym-monotonicity: making declared program inputs symbolic may
  *    only upgrade verdicts — a decisive single-path stage-1 verdict
  *    (spec violated / output differs) never becomes harmless when
@@ -70,8 +68,7 @@ struct OracleOptions
     std::uint64_t max_steps = 200000; ///< per-run interpreter budget
     int executor_max_states = 64;     ///< symbolic fork cap
 
-    /** Stage-3 explorer of the primary pipeline run (CLI --explore);
-     *  deep mode cross-checks it against the other explorer. */
+    /** Unread; kept because perfbench/driver.cc still copies it. */
     explore::ExploreMode explore = explore::ExploreMode::Dpor;
 
     /**

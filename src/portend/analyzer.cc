@@ -937,15 +937,14 @@ RaceAnalyzer::runSchedules(Classification &c, int &witnesses,
                            const Judge &judge) const
 {
     // Multi-schedule: the explorer issues the post-race schedules —
-    // Ma seeded samples under `random`, the same samples plus
-    // systematic bounded-preemption backtracking until Ma *distinct*
-    // interleaving classes under `dpor`. Without it the one schedule
-    // is the trace-following alternate, whose evidence seed stays 0
-    // so that replayEvidence rebuilds exactly that schedule.
+    // Ma seeded samples, then systematic bounded-preemption
+    // backtracking until Ma *distinct* interleaving classes were
+    // witnessed. Without it the one schedule is the trace-following
+    // alternate, whose evidence seed stays 0 so that replayEvidence
+    // rebuilds exactly that schedule.
     std::optional<explore::ScheduleExplorer> explorer;
     if (opts.multi_schedule) {
         explore::ExplorerOptions xopts;
-        xopts.mode = opts.explore;
         xopts.budget = opts.ma;
         xopts.preemption_bound = opts.preemption_bound;
         // Legacy seed layout: seed j of path p is p * 16 + j.
@@ -985,11 +984,8 @@ RaceAnalyzer::runSchedules(Classification &c, int &witnesses,
             decided = true;
             break;
         }
-        // Under dpor a witness is a *distinct* interleaving class;
-        // the random sampler keeps its legacy run counting.
-        if (r.kind == SingleResult::Kind::OutSame &&
-            (!explorer || opts.explore == explore::ExploreMode::Random ||
-             fresh)) {
+        // A witness is a *distinct* interleaving class.
+        if (r.kind == SingleResult::Kind::OutSame && (!explorer || fresh)) {
             witnesses += 1;
         }
     }

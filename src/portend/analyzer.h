@@ -72,12 +72,10 @@ struct PortendOptions
     int mp = 5;                 ///< primary paths (Mp)
 
     /**
-     * Alternate schedules per primary (Ma). Under the dpor explorer
-     * this is a *distinct-schedule* budget: stage 3 keeps issuing
-     * schedules until Ma Mazurkiewicz-inequivalent post-race
-     * interleavings were witnessed (or the space/run cap is
-     * exhausted); under the random explorer it is the legacy run
-     * count, duplicates and all.
+     * Alternate schedules per primary (Ma). Stage 3 first runs Ma
+     * seeded random schedules, then keeps issuing systematic ones
+     * until Ma Mazurkiewicz-inequivalent post-race interleavings
+     * were witnessed (or the space/run cap is exhausted).
      */
     int ma = 2;
     bool adhoc_detection = true;   ///< classify hangs as single ordering
@@ -124,11 +122,11 @@ struct PortendOptions
     std::uint64_t detection_seed = 1;  ///< seed for detection run
     DetectorKind detector = DetectorKind::HappensBefore;
 
-    /** Stage-3 post-race schedule explorer (CLI --explore). */
+    /** Unread; kept because perfbench/driver.cc still copies it. */
     explore::ExploreMode explore = explore::ExploreMode::Dpor;
 
     /**
-     * Preemption bound of the dpor explorer: systematic candidates
+     * Preemption bound of the stage-3 explorer: systematic candidates
      * carrying more injected preemptions than this are not generated
      * (CHESS-style bounding; the random phase is unbounded).
      */
@@ -347,8 +345,8 @@ class RaceAnalyzer
      * multi-schedule, every schedule a ScheduleExplorer issues (seeds
      * from path * 16; inheriting and updating @p known when non-null),
      * otherwise exactly one trace-following alternate. Each OutSame
-     * judgement is a witness (under dpor, only a fresh interleaving
-     * class). A SpecViol or OutDiff sets the verdict with @p ev as
+     * judgement is a witness (under an explorer, only a fresh
+     * interleaving class). A SpecViol or OutDiff sets the verdict with @p ev as
      * its evidence and ends the loop.
      *
      * @return true when a schedule decided the verdict

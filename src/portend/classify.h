@@ -85,8 +85,8 @@ struct AnalysisStats
     /**
      * Mazurkiewicz-inequivalent post-race interleavings witnessed
      * during stage 3 (canonical-signature distinct; see explore/).
-     * Always <= schedules_explored; the gap is budget the random
-     * explorer burned on equivalent schedules.
+     * Always <= schedules_explored; the gap is stage 1's alternate
+     * and schedules that repeated an already-witnessed class.
      */
     int distinct_schedules = 0;
 

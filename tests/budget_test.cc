@@ -454,20 +454,15 @@ pipelineBytes(const ir::Program &p, const PortendOptions &o)
 TEST(CycleCutDifferentialTest, SpinProgramsClassifyIdentically)
 {
     for (bool crash : {false, true}) {
-        for (explore::ExploreMode mode :
-             {explore::ExploreMode::Random, explore::ExploreMode::Dpor}) {
-            const ir::Program p = spinWaiter(crash, 200);
-            PortendOptions o;
-            o.jobs = 1;
-            o.max_steps = 50000;
-            o.explore = mode;
-            Collect obs;
-            const std::string cut = pipelineBytes(p, o);
-            EXPECT_GT(obs.shard().counter(obs::Counter::InterpCycleCuts),
-                      0u);
-            CycleTestOff off;
-            EXPECT_EQ(cut, pipelineBytes(p, o)) << p.name;
-        }
+        const ir::Program p = spinWaiter(crash, 200);
+        PortendOptions o;
+        o.jobs = 1;
+        o.max_steps = 50000;
+        Collect obs;
+        const std::string cut = pipelineBytes(p, o);
+        EXPECT_GT(obs.shard().counter(obs::Counter::InterpCycleCuts), 0u);
+        CycleTestOff off;
+        EXPECT_EQ(cut, pipelineBytes(p, o)) << p.name;
     }
 }
 
@@ -487,15 +482,11 @@ TEST(CycleCutDifferentialTest, CorpusSeedVerdictsAreIdentical)
         ASSERT_TRUE(p.has_value()) << name << ": " << err;
         fuzz::OracleOptions o;
         o.detection_seed = e->detection_seed;
-        for (explore::ExploreMode mode :
-             {explore::ExploreMode::Random, explore::ExploreMode::Dpor}) {
-            o.explore = mode;
-            const std::string cut =
-                fuzz::serializeVerdict(fuzz::runOracle(*p, o));
-            CycleTestOff off;
-            EXPECT_EQ(cut, fuzz::serializeVerdict(fuzz::runOracle(*p, o)))
-                << name;
-        }
+        const std::string cut =
+            fuzz::serializeVerdict(fuzz::runOracle(*p, o));
+        CycleTestOff off;
+        EXPECT_EQ(cut, fuzz::serializeVerdict(fuzz::runOracle(*p, o)))
+            << name;
     }
     // The differential is not vacuous: the corpus has timed-out
     // alternates, and the cut ended some of them early.

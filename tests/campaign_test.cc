@@ -123,10 +123,6 @@ TEST(SignatureTest, EveryAnalysisDialMovesTheKey)
     mp.mp = base.mp + 1;
     EXPECT_NE(configHash(mp), h);
 
-    core::PortendOptions expl = base;
-    expl.explore = explore::ExploreMode::Random;
-    EXPECT_NE(configHash(expl), h);
-
     core::PortendOptions det = base;
     det.detector = core::DetectorKind::Lockset;
     EXPECT_NE(configHash(det), h);
@@ -438,7 +434,6 @@ TEST(CampaignTest, ManifestRoundTrip)
     CampaignConfig config = microConfig();
     config.analysis.ma = 5;
     config.analysis.detection_seed = 17;
-    config.analysis.explore = explore::ExploreMode::Random;
     config.analysis.sym_inputs.push_back({"flag", true, 0, 1});
     config.render.stats = true;
 
@@ -452,6 +447,11 @@ TEST(CampaignTest, ManifestRoundTrip)
     EXPECT_EQ(back->analysis.sym_inputs.size(), 1u);
 
     EXPECT_FALSE(parseManifest("not-a-manifest\n", &error).has_value());
+    // The explorer dial is gone; a manifest that still sets it names
+    // a dial this loader cannot honor.
+    EXPECT_FALSE(parseManifest(manifestText(config) + "explore dpor\n",
+                               &error)
+                     .has_value());
 }
 
 TEST(CampaignTest, EphemeralRunsAreByteIdenticalAcrossJobs)

@@ -29,6 +29,9 @@ set(bad_cases
     "fuzz --fuzz-seed -2"
     # A removed flag from a stale script must fail, not run quietly.
     "--dispatch switch classify avv"
+    "classify avv --explore random"
+    "classify avv --explore dpor"
+    "corpus run corpus/seed --explore random"
     )
 
 foreach(case IN LISTS bad_cases)

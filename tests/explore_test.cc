@@ -19,6 +19,7 @@
 #include <functional>
 #include <map>
 #include <set>
+#include <sstream>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -192,7 +193,6 @@ explore::ExplorerOptions
 exhaustiveOptions()
 {
     explore::ExplorerOptions xo;
-    xo.mode = explore::ExploreMode::Dpor;
     xo.budget = 1 << 20;       // never the stopping condition
     xo.max_runs = 1 << 20;
     xo.preemption_bound = 64;  // effectively unbounded here
@@ -300,35 +300,11 @@ TEST(SignatureTest, HashIsStable16Hex)
     EXPECT_EQ(h, explore::signatureHash(a));
 }
 
-// Random mode is a pure sampler: exactly `budget` seeded runs, with
-// the legacy seed layout, and no systematic candidates.
-TEST(ExplorerModeTest, RandomModeIssuesExactlyBudgetSeeds)
-{
-    explore::ExplorerOptions xo;
-    xo.mode = explore::ExploreMode::Random;
-    xo.budget = 3;
-    xo.seed_base = 16;
-    explore::ScheduleExplorer ex(xo);
-    for (int j = 1; j <= 3; ++j) {
-        std::optional<explore::PostSpec> s = ex.next();
-        ASSERT_TRUE(s.has_value());
-        EXPECT_EQ(s->kind, explore::PostSpec::Kind::Random);
-        EXPECT_EQ(s->seed, 16u + static_cast<std::uint64_t>(j));
-        rt::ScheduleObservation obs;
-        obs.accesses = {{j, 1, true, 0}}; // all distinct classes
-        EXPECT_TRUE(ex.record(obs));
-    }
-    EXPECT_FALSE(ex.next().has_value());
-    EXPECT_EQ(ex.distinct(), 3);
-}
-
-// The dpor superset contract: the random phase comes first, with
-// the same seeds random mode would use, and stopping conditions do
-// not truncate it.
+// The random phase comes first, with the legacy seed layout, and
+// stopping conditions do not truncate it.
 TEST(ExplorerModeTest, DporRunsTheRandomPhaseFirstAndWhole)
 {
     explore::ExplorerOptions xo;
-    xo.mode = explore::ExploreMode::Dpor;
     xo.budget = 2;
     xo.seed_base = 48;
     explore::ScheduleExplorer ex(xo);
@@ -360,7 +336,6 @@ TEST(ExplorerModeTest, DporRunsTheRandomPhaseFirstAndWhole)
 TEST(ExplorerModeTest, DuplicateSignaturesAreNotDistinct)
 {
     explore::ExplorerOptions xo;
-    xo.mode = explore::ExploreMode::Random;
     xo.budget = 2;
     explore::ScheduleExplorer ex(xo);
     rt::ScheduleObservation obs;
@@ -489,7 +464,6 @@ exploreSequence(
     const std::function<void(const rt::ScheduleObservation &)> &visit)
 {
     explore::ExplorerOptions xo;
-    xo.mode = explore::ExploreMode::Dpor;
     xo.budget = 32;
     xo.random_first = false;
     explore::ScheduleExplorer ex(xo);
@@ -557,85 +531,41 @@ TEST(SignatureTest, MatchesBruteForceLevelsOnExploredRuns)
     EXPECT_GT(checked, 0);
 }
 
-PortendResult
-runExplorer(const ir::Program &p, explore::ExploreMode mode, int ma)
-{
-    PortendOptions o;
-    o.jobs = 1;
-    o.ma = ma;
-    o.explore = mode;
-    Portend tool(p, o);
-    return tool.run();
-}
-
-// The tentpole's budget claim: at equal Ma, dpor witnesses at least
-// as many distinct post-race interleavings as random on every
-// cluster, and strictly more in total on a schedule-rich program.
+// The explorer's budget claim: the systematic phase buys distinct
+// post-race interleavings the seeded random phase does not, on a
+// schedule-rich program. The random phase's fresh count is read off
+// the same run's schedule events, as bench_schedule_bench does.
 TEST(ExplorePipelineTest, DporBuysMoreDistinctSchedules)
 {
     ir::Program p = racyStaggered();
-    PortendResult rnd = runExplorer(p, explore::ExploreMode::Random, 6);
-    PortendResult dpo = runExplorer(p, explore::ExploreMode::Dpor, 6);
-    ASSERT_EQ(rnd.reports.size(), dpo.reports.size());
-    ASSERT_FALSE(rnd.reports.empty());
+    PortendOptions o;
+    o.jobs = 1;
+    o.ma = 6;
+    std::ostringstream events;
+    obs::Progress sink(events);
+    obs::setProgress(&sink);
+    PortendResult res = Portend(p, o).run();
+    obs::setProgress(nullptr);
+    ASSERT_FALSE(res.reports.empty());
 
-    int rnd_total = 0;
-    int dpo_total = 0;
-    for (std::size_t i = 0; i < rnd.reports.size(); ++i) {
-        const AnalysisStats &a = rnd.reports[i].classification.stats;
-        const AnalysisStats &b = dpo.reports[i].classification.stats;
-        EXPECT_LE(a.distinct_schedules, a.schedules_explored);
-        EXPECT_LE(b.distinct_schedules, b.schedules_explored);
-        EXPECT_GE(b.distinct_schedules, a.distinct_schedules)
-            << "cluster " << i;
-        rnd_total += a.distinct_schedules;
-        dpo_total += b.distinct_schedules;
-    }
-    EXPECT_GT(dpo_total, rnd_total);
-    EXPECT_EQ(rnd.metrics.counter(obs::Counter::ClassifyDistinctSchedules),
-              static_cast<std::uint64_t>(rnd_total));
-    EXPECT_EQ(dpo.metrics.counter(obs::Counter::ClassifyDistinctSchedules),
-              static_cast<std::uint64_t>(dpo_total));
-}
-
-// Verdict monotonicity, random -> dpor: dpor runs the random phase
-// first, so a decisive random verdict is reproduced identically and
-// a k-witness verdict may only upgrade toward a decisive class.
-TEST(ExplorePipelineTest, DporNeverLosesDecisiveVerdicts)
-{
-    for (const std::string &name :
-         {std::string("pbzip2"), std::string("bbuf"),
-          std::string("ctrace")}) {
-        workloads::Workload w = workloads::buildWorkload(name);
-        PortendOptions o;
-        o.jobs = 1;
-        o.semantic_predicates = w.semantic_predicates;
-        o.explore = explore::ExploreMode::Random;
-        PortendResult rnd = Portend(w.program, o).run();
-        o.explore = explore::ExploreMode::Dpor;
-        PortendResult dpo = Portend(w.program, o).run();
-
-        ASSERT_EQ(rnd.reports.size(), dpo.reports.size()) << name;
-        for (std::size_t i = 0; i < rnd.reports.size(); ++i) {
-            const Classification &a = rnd.reports[i].classification;
-            const Classification &b = dpo.reports[i].classification;
-            if (a.cls == RaceClass::SpecViolated) {
-                EXPECT_EQ(b.cls, RaceClass::SpecViolated)
-                    << name << " cluster " << i;
-                EXPECT_EQ(b.viol, a.viol) << name << " cluster " << i;
-            }
-            if (a.cls == RaceClass::OutputDiffers) {
-                EXPECT_TRUE(b.cls == RaceClass::OutputDiffers ||
-                            b.cls == RaceClass::SpecViolated)
-                    << name << " cluster " << i;
-            }
-            // Single-ordering and unclassified verdicts come from
-            // stage 1 and never depend on the explorer.
-            if (a.cls == RaceClass::SingleOrdering) {
-                EXPECT_EQ(b.cls, a.cls) << name << " cluster " << i;
-            }
+    int random_fresh = 0;
+    std::istringstream lines(events.str());
+    for (std::string line; std::getline(lines, line);) {
+        if (line.find("\"kind\": \"random\"") != std::string::npos &&
+            line.find("\"fresh\": true") != std::string::npos) {
+            random_fresh += 1;
         }
     }
+    int total = 0;
+    for (const PortendReport &r : res.reports) {
+        const AnalysisStats &a = r.classification.stats;
+        EXPECT_LE(a.distinct_schedules, a.schedules_explored);
+        total += a.distinct_schedules;
+    }
+    EXPECT_GT(random_fresh, 0);
+    EXPECT_GT(total, random_fresh);
+    EXPECT_EQ(res.metrics.counter(obs::Counter::ClassifyDistinctSchedules),
+              static_cast<std::uint64_t>(total));
 }
 
 // Explorer evidence replays: a dpor-found decisive verdict carries
@@ -647,7 +577,6 @@ TEST(ExplorePipelineTest, GuidedEvidenceReplays)
     PortendOptions o;
     o.jobs = 1;
     o.ma = 6;
-    o.explore = explore::ExploreMode::Dpor;
     Portend tool(p, o);
     PortendResult res = tool.run();
 
@@ -696,8 +625,7 @@ pipelineBytes(const ir::Program &p, const PortendOptions &o)
 
 // The cycle cut ends a provable spin early in exactly the state the
 // full budget reaches, so verdicts, evidence signatures, and ledgers
-// match the uncut pipeline byte for byte, under both explorers, on
-// these micro programs and on every registry workload (whose
+// match the uncut pipeline byte for byte, on these micro programs and on every registry workload (whose
 // busy-wait verdicts time out).
 TEST(CycleCutDifferentialTest, VerdictsMatchTheUncutPipeline)
 {
@@ -715,17 +643,12 @@ TEST(CycleCutDifferentialTest, VerdictsMatchTheUncutPipeline)
     obs::Collector col;
     obs::setCollector(&col);
     for (const auto &[prog, preds] : programs) {
-        for (explore::ExploreMode mode :
-             {explore::ExploreMode::Random, explore::ExploreMode::Dpor}) {
-            PortendOptions o;
-            o.jobs = 1;
-            o.explore = mode;
-            o.semantic_predicates = preds;
-            const std::string cut = pipelineBytes(prog, o);
-            CycleTestOff off;
-            EXPECT_EQ(cut, pipelineBytes(prog, o))
-                << prog.name << " " << explore::exploreModeName(mode);
-        }
+        PortendOptions o;
+        o.jobs = 1;
+        o.semantic_predicates = preds;
+        const std::string cut = pipelineBytes(prog, o);
+        CycleTestOff off;
+        EXPECT_EQ(cut, pipelineBytes(prog, o)) << prog.name;
     }
     obs::setCollector(nullptr);
     obs::MetricsShard m;

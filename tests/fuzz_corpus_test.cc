@@ -79,6 +79,27 @@ TEST(FuzzCorpus, RegressionEntryReplaysGreen)
     EXPECT_TRUE(out.ok) << out.detail;
 }
 
+// Entries written while stage 3 had two explorers pin one in an
+// `explore=` meta line. The key is unknown now, and ignored.
+TEST(FuzzCorpus, StaleExploreLineLoadsAndReplaysGreen)
+{
+    std::string dir = scratchDir("stale_explore");
+    CorpusEntry e = makeRegressionEntry(1);
+    std::string error;
+    ASSERT_TRUE(saveEntry(dir, e, &error)) << error;
+    const fs::path meta = fs::path(dir) / e.name / "meta.txt";
+    {
+        std::ofstream os(meta, std::ios::app);
+        os << "explore=random\n";
+    }
+
+    auto back = loadEntry((fs::path(dir) / e.name).string(), &error);
+    ASSERT_TRUE(back.has_value()) << error;
+    EXPECT_EQ(back->signature, e.signature);
+    ReplayOutcome out = replayEntry(*back, OracleOptions{});
+    EXPECT_TRUE(out.ok) << out.detail;
+}
+
 TEST(FuzzCorpus, ReplayDetectsSignatureDrift)
 {
     CorpusEntry e = makeRegressionEntry(2);

@@ -57,8 +57,7 @@ TEST(FuzzOracle, DeepBatteryRunsAllChecks)
     for (const char *want :
          {"verify", "roundtrip", "hb-subset-nomutex",
           "hb-subset-lockset", "determinism", "jobs-invariance",
-          "k-monotonicity", "explore-monotonicity",
-          "ma-monotonicity"}) {
+          "k-monotonicity", "ma-monotonicity"}) {
         EXPECT_TRUE(names.count(want)) << "check missing: " << want;
     }
 }
@@ -102,28 +101,20 @@ TEST(FuzzOracle, SymbolicBatterySkippedWithoutInputDecls)
 }
 
 // The schedule-coverage monotonicity property: across a generated
-// batch, switching random -> dpor and doubling Ma never loses a
-// "spec violated" verdict. Runs under both primary explorers so
-// both directions of the cross-check exercise.
+// batch, doubling Ma never loses a "spec violated" verdict.
 TEST(FuzzOracle, ScheduleCoverageMonotonicityHolds)
 {
     GeneratorOptions gopts;
-    for (explore::ExploreMode mode :
-         {explore::ExploreMode::Dpor, explore::ExploreMode::Random}) {
-        OracleOptions oopts;
-        oopts.deep = true;
-        oopts.explore = mode;
-        for (std::uint64_t i = 0; i < 6; ++i) {
-            GeneratedProgram g = generateProgram(1337, i, gopts);
-            ASSERT_TRUE(g.verify_errors.empty());
-            OracleVerdict v = runOracle(g.program, oopts);
-            for (const CheckResult &c : v.checks) {
-                if (c.name == "explore-monotonicity" ||
-                    c.name == "ma-monotonicity") {
-                    EXPECT_TRUE(c.ok)
-                        << exploreModeName(mode) << " index " << i
-                        << ": " << c.name << ": " << c.detail;
-                }
+    OracleOptions oopts;
+    oopts.deep = true;
+    for (std::uint64_t i = 0; i < 6; ++i) {
+        GeneratedProgram g = generateProgram(1337, i, gopts);
+        ASSERT_TRUE(g.verify_errors.empty());
+        OracleVerdict v = runOracle(g.program, oopts);
+        for (const CheckResult &c : v.checks) {
+            if (c.name == "ma-monotonicity") {
+                EXPECT_TRUE(c.ok)
+                    << "index " << i << ": " << c.name << ": " << c.detail;
             }
         }
     }
@@ -139,8 +130,7 @@ TEST(FuzzOracle, ScheduleCoverageMonotonicityOnWorkloads)
         workloads::Workload w = workloads::buildWorkload(name);
         OracleVerdict v = runOracle(w.program, opts);
         for (const CheckResult &c : v.checks) {
-            if (c.name == "explore-monotonicity" ||
-                c.name == "ma-monotonicity") {
+            if (c.name == "ma-monotonicity") {
                 EXPECT_TRUE(c.ok)
                     << name << ": " << c.name << ": " << c.detail;
             }

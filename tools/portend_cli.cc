@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "campaign/campaign.h"
-#include "explore/explorer.h"
 #include "fuzz/corpus.h"
 #include "fuzz/fuzzer.h"
 #include "ir/serialize.h"
@@ -70,8 +69,7 @@ Usage:
   portend fuzz [options]                generate racy PIL programs, cross-
                                         check detectors and classifier,
                                         minimize and store reproducers
-  portend corpus run <dir> [--explore <name>] [--quiet]
-                                        replay a reproducer corpus
+  portend corpus run <dir> [--quiet]    replay a reproducer corpus
   portend --help                        print this help
 
 Workloads:
@@ -85,14 +83,10 @@ Options:
                        multi-path at N > 1, multi-schedule at N >= 5
   --mp <N>             primary paths explored (Mp, default 5)
   --ma <N>             alternate-schedule budget per primary (Ma,
-                       default 2): distinct post-race interleavings
-                       under the dpor explorer, plain run count
-                       under random
-  --explore <name>     stage-3 schedule explorer: "dpor" enumerates
-                       bounded-preemption interleavings, prunes
-                       Mazurkiewicz-equivalent ones, and spends Ma
-                       on provably distinct schedules; "random" is
-                       the legacy seeded sampler (default dpor)
+                       default 2): stage 3 runs Ma seeded random
+                       post-race schedules, then bounded-preemption
+                       ones that skip Mazurkiewicz-equivalent
+                       interleavings, until Ma distinct ones ran
   --jobs <N>           worker threads for classification, batch mode,
                        and fuzzing (default: one per hardware
                        thread); results are identical for every N
@@ -260,21 +254,6 @@ usageError(const std::string &msg)
     std::exit(2);
 }
 
-/** Parse an --explore value; usage error on anything unknown. */
-explore::ExploreMode
-parseExploreMode(const char *value)
-{
-    if (!value)
-        usageError("--explore needs a value");
-    std::string e = value;
-    if (e == "dpor")
-        return explore::ExploreMode::Dpor;
-    if (e == "random")
-        return explore::ExploreMode::Random;
-    usageError("unknown explorer: " + e +
-               " (expected dpor or random)");
-}
-
 std::int64_t
 parseInt(const char *flag, const char *value)
 {
@@ -422,9 +401,6 @@ parseOptions(int argc, char **argv, int start)
             ++i;
         } else if (a == "--sym-input") {
             cli.opts.sym_inputs.push_back(parseSymInput(next));
-            ++i;
-        } else if (a == "--explore") {
-            cli.opts.explore = parseExploreMode(next);
             ++i;
         } else if (a == "--jobs") {
             cli.opts.jobs = parseCount("--jobs", next, 1);
@@ -837,8 +813,7 @@ cmdFuzz(int argc, char **argv)
 
 /** `portend corpus run <dir>`: replay a reproducer corpus. */
 int
-cmdCorpusRun(const std::string &dir, fuzz::OracleOptions opts,
-             const ObsFlags &obs_flags)
+cmdCorpusRun(const std::string &dir, const ObsFlags &obs_flags)
 {
     const bool quiet = obs_flags.quiet;
     // Collector on by default: the one-line summary below is the
@@ -846,7 +821,7 @@ cmdCorpusRun(const std::string &dir, fuzz::OracleOptions opts,
     // PASS/FAIL stdout stays byte-stable).
     installObsSinks(obs_flags.trace_out, obs_flags.metrics_out,
                     obs_flags.progress_jsonl, true);
-    fuzz::CorpusRunResult res = fuzz::runCorpus(dir, opts);
+    fuzz::CorpusRunResult res = fuzz::runCorpus(dir, fuzz::OracleOptions{});
     if (res.total == 0) {
         std::fprintf(stderr,
                      "portend: no corpus entries under %s\n",
@@ -937,21 +912,13 @@ main(int argc, char **argv)
     if (cmd == "corpus") {
         if (argc < 4 || std::strcmp(argv[2], "run") != 0)
             usageError("usage: portend corpus run <dir>");
-        fuzz::OracleOptions opts;
         ObsFlags obs_flags;
         for (int i = 4; i < argc; ++i) {
-            if (parseObsFlag(argc, argv, i, &obs_flags, true))
-                continue;
-            std::string a = argv[i];
-            if (a == "--explore") {
-                opts.explore = parseExploreMode(
-                    i + 1 < argc ? argv[i + 1] : nullptr);
-                ++i;
-            } else {
-                usageError("unknown corpus option: " + a);
-            }
+            if (!parseObsFlag(argc, argv, i, &obs_flags, true))
+                usageError("unknown corpus option: " +
+                           std::string(argv[i]));
         }
-        return cmdCorpusRun(argv[3], opts, obs_flags);
+        return cmdCorpusRun(argv[3], obs_flags);
     }
     usageError("unknown command: " + cmd);
 }
